@@ -40,13 +40,15 @@ test-loss:
 	$(GO) test -race -run 'TestSessionFramed|TestSessionGapRepair|TestChaosLossStorm' ./internal/service/
 	$(GO) test -race ./internal/frame/ ./internal/arrival/
 
-# Fuzz smoke against the two wire-facing decoders — the Step-II descriptor
-# (sigref trust boundary) and the lossy-transport frame codec: ten seconds
-# of coverage-guided mutation each on top of the seed corpora, which also
-# run as plain tests in every `make test`.
+# Fuzz smoke against the three wire-facing decoders — the Step-II
+# descriptor (sigref trust boundary), the lossy-transport frame codec, and
+# the Step-V location-difference report: ten seconds of coverage-guided
+# mutation each on top of the seed corpora, which also run as plain tests
+# in every `make test`.
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSignal -fuzztime 10s ./internal/sigref/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/frame/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeLocDiff -fuzztime 10s ./internal/core/
 
 # Pinned staticcheck alongside go vet (CI installs the pin; locally the
 # target is a no-op with a hint when the binary is absent, because the

@@ -63,7 +63,7 @@ func (b *Buffer) Duration() float64 {
 
 // Float returns the samples as float64 (integer scale preserved). It
 // allocates a fresh copy 4× the PCM's byte size per call; the detection hot path ingests
-// Samples directly instead (detect.Detector.DetectAllPCM fuses the exact
+// Samples directly instead (detect.Detector.FedStream fuses the exact
 // widening conversion into its spectral engine), so Float is for baselines,
 // experiments, and diagnostics rather than per-session use.
 func (b *Buffer) Float() []float64 {

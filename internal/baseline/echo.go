@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -98,14 +99,14 @@ func (e *EchoSecure) measureElapsed() (float64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	res, err := det.Detect(recs[e.auth].Float(), sig)
+	res, err := det.DetectAll(context.TODO(), recs[e.auth].Float(), sig)
 	if err != nil {
 		return 0, false, err
 	}
-	if !res.Found {
+	if !res[0].Found {
 		return 0, false, nil
 	}
-	return float64(res.Location) / e.auth.SampleRate(), true, nil
+	return float64(res[0].Location) / e.auth.SampleRate(), true, nil
 }
 
 // Calibrate estimates the average processing delay by putting the two

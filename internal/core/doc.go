@@ -12,20 +12,24 @@
 // protocol in the paper's Algorithm 1 decision rule with the τ threshold;
 // ExtraPlay injects interferers and attackers into the scene.
 //
-// OpenACTIONStream is the online form of the same session: Steps I–III
-// run eagerly, then Step IV consumes each role's PCM in chunks
-// (SessionStream.Feed) through detect.Stream, and TryResult finalizes
-// Steps V–VI once every role has fed past its early horizon — the sample
-// index by which all scheduled playbacks plus worst-case propagation have
-// provably passed, which is what makes the early decision bit-identical
-// to the batch RunACTIONWith result. AuthStream wraps it in the
-// Authenticator decision rule.
+// Step IV of the frequency-detection pipeline is one SessionStream, a
+// detect.Stream per device, whichever way the audio comes: RunACTIONWith
+// opens it with each device's whole rendered recording already fed
+// (borrowed, not copied) and decides through one TryResult, while
+// OpenACTIONStream runs Steps I–III eagerly and then consumes each role's
+// PCM in chunks (SessionStream.Feed), with TryResult finalizing Steps V–VI
+// once every role has fed past its early horizon — the sample index by
+// which all scheduled playbacks plus worst-case propagation have provably
+// passed, which is what makes the early decision bit-identical to the
+// batch RunACTIONWith result. AuthStream wraps it in the Authenticator
+// decision rule. Only the ACTION-CC baseline scans outside the stream.
 //
 // Invariants: a session's rng must be private to it — every draw happens in
 // a fixed sequential order, which is what makes a seeded session
 // reproducible and concurrent service sessions bit-identical to serial
 // runs. ExtraPlay.Samples are scheduled by reference and never written;
-// callers must not mutate them while a session is in flight. The two
-// devices' detections run in parallel goroutines, but each scan reduces
-// deterministically, so the session result does not depend on scheduling.
+// callers must not mutate them while a session is in flight. Each scan
+// reduces in window order, so the session result does not depend on
+// scheduling. A Step-V report whose rate is not a finite positive number
+// ends the session with ErrBadReport, never a decision.
 package core

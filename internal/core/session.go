@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime/debug"
-	"sync"
 
 	"github.com/acoustic-auth/piano/internal/acoustic"
 	"github.com/acoustic-auth/piano/internal/audio"
@@ -134,6 +132,13 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
+// ErrBadReport is returned (wrapped, match with errors.Is) when the
+// vouching device's Step-V report is malformed or carries a sampling rate
+// that is not a finite positive number. The session ends with this error
+// instead of a decision: a NaN or infinite rate would make the Eq. 3
+// distance NaN, which no threshold comparison can deny.
+var ErrBadReport = errors.New("core: invalid location-difference report")
+
 // locDiffMsg is the Step V payload: the vouching device's local location
 // difference l_VV − l_VA plus its nominal sampling rate.
 type locDiffMsg struct {
@@ -150,12 +155,16 @@ func encodeLocDiff(m locDiffMsg) []byte {
 
 func decodeLocDiff(data []byte) (locDiffMsg, error) {
 	if len(data) != 16 {
-		return locDiffMsg{}, fmt.Errorf("core: location-difference payload is %d bytes, want 16", len(data))
+		return locDiffMsg{}, fmt.Errorf("%w: payload is %d bytes, want 16", ErrBadReport, len(data))
 	}
-	return locDiffMsg{
+	m := locDiffMsg{
 		diff: int64(binary.LittleEndian.Uint64(data[0:8])),
 		rate: math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
-	}, nil
+	}
+	if math.IsNaN(m.rate) || math.IsInf(m.rate, 0) || m.rate <= 0 {
+		return locDiffMsg{}, fmt.Errorf("%w: sampling rate %g", ErrBadReport, m.rate)
+	}
+	return m, nil
 }
 
 // RunACTION executes one complete distance estimation between the
@@ -177,10 +186,11 @@ func RunACTION(
 
 // sessionPrep carries a session from the end of Step III (scene rendered,
 // recordings in hand) to Steps IV–VI. Splitting the pipeline here is what
-// lets Step IV run either as the batch scan (RunACTIONWith) or as the
-// incremental per-device feed (SessionStream) over identical state: both
-// paths share prepareACTION and finishACTION verbatim, so every RNG draw
-// and every arithmetic step outside Step IV is common by construction.
+// lets one SessionStream serve both a batch session (RunACTIONWith: each
+// device's stream fed its whole recording at once) and a live one
+// (OpenACTIONStream: fed as the audio arrives) over identical state: both
+// share prepareACTION, the Step-IV stream, and finishACTION verbatim, so
+// every RNG draw and every arithmetic step is common by construction.
 type sessionPrep struct {
 	deps SessionDeps
 	cfg  Config
@@ -224,19 +234,32 @@ func RunACTIONWith(
 	if err != nil {
 		return nil, err
 	}
-	resAuth, resVouch, err := p.detectBatch()
+	if cfg.Mode == DetectCrossCorrelation {
+		resAuth, resVouch, err := p.detectCrossCorrelation()
+		if err != nil {
+			return nil, err
+		}
+		return p.finishACTION(resAuth, resVouch)
+	}
+	// Batch Step IV is the streaming session fed once: each device's
+	// stream already holds its whole recording, so TryResult decides now.
+	ss, err := newSessionStream(p, true)
 	if err != nil {
 		return nil, err
 	}
-	return p.finishACTION(resAuth, resVouch)
+	sr, need, err := ss.TryResult()
+	if err == nil && need > 0 {
+		return nil, fmt.Errorf("core: fully fed session still needs %d samples", need)
+	}
+	return sr, err
 }
 
 // prepareACTION runs Steps I–III: signal construction, the descriptor
 // exchange, the session timeline, and the rendered acoustic scene. It
 // consumes RNG draws in the exact order the historical monolithic pipeline
 // did (signal draws, link latencies, processing delays, world/channel
-// draws, extra-play schedules), which is what keeps both Step-IV engines
-// bit-identical to each other and to earlier releases.
+// draws, extra-play schedules), which is what keeps batch and streamed
+// sessions bit-identical to each other and to earlier releases.
 func prepareACTION(
 	deps SessionDeps,
 	cfg Config,
@@ -422,90 +445,29 @@ func prepareACTION(
 	}, nil
 }
 
-// detectBatch is the batch form of Step IV: each device locates both
-// signals in its complete recording. The two devices detect independently
-// on real hardware, so the session pipeline runs their scans in parallel
-// goroutines; each scan is deterministic, so the session result stays
-// bit-identical to the sequential pipeline. A service-injected detector
-// batches these scans through its shared worker pool instead of
-// per-session machinery.
-func (p *sessionPrep) detectBatch() (resAuth, resVouch []detect.Result, err error) {
+// detectCrossCorrelation is Step IV of the ACTION-CC baseline: each device
+// locates both signals in its complete recording by normalized
+// cross-correlation against the original waveform.
+func (p *sessionPrep) detectCrossCorrelation() (resAuth, resVouch []detect.Result, err error) {
 	if err := ctxErr(p.deps.Ctx); err != nil {
 		return nil, nil, err
 	}
-	deps, cfg, det := p.deps, p.cfg, p.det
-	auth, vouch := p.auth, p.vouch
-	sigA, sigV := p.sigA, p.sigV
-	vouchSigA, vouchSigV := p.vouchSigA, p.vouchSigV
-	recs := p.recs
-	var errAuth, errVouch error
-	var wg sync.WaitGroup
-	wg.Add(2)
-	// Panic isolation for the per-device detection goroutines: a panic
-	// there would otherwise kill the whole process (no recover on the
-	// goroutine's stack). Convert it to the same typed *detect.PanicError
-	// the scan engine reports for its own workers, captured into the
-	// goroutine's error slot. Registered after wg.Done (defers run LIFO),
-	// so the error is in place before wg.Wait observes completion.
-	trap := func(errp *error) {
-		if r := recover(); r != nil {
-			*errp = &detect.PanicError{Value: r, Stack: debug.Stack()}
+	ccDetect := func(rec []float64, sigs ...*sigref.Signal) ([]detect.Result, error) {
+		out := make([]detect.Result, 0, len(sigs))
+		for _, s := range sigs {
+			r, err := p.det.DetectCrossCorrelation(rec, s)
+			if err != nil {
+				return nil, fmt.Errorf("core: cross-correlation detect: %w", err)
+			}
+			out = append(out, r)
 		}
+		return out, nil
 	}
-	if cfg.Mode == DetectCrossCorrelation {
-		// ACTION-CC baseline: locate each signal by normalized
-		// cross-correlation against the original waveform.
-		ccDetect := func(rec []float64, sigs ...*sigref.Signal) ([]detect.Result, error) {
-			out := make([]detect.Result, 0, len(sigs))
-			for _, s := range sigs {
-				r, err := det.DetectCrossCorrelation(rec, s)
-				if err != nil {
-					return nil, fmt.Errorf("core: cross-correlation detect: %w", err)
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}
-		go func() {
-			defer wg.Done()
-			defer trap(&errAuth)
-			resAuth, errAuth = ccDetect(recs[auth].Float(), sigA, sigV)
-		}()
-		go func() {
-			defer wg.Done()
-			defer trap(&errVouch)
-			resVouch, errVouch = ccDetect(recs[vouch].Float(), vouchSigA, vouchSigV)
-		}()
-	} else {
-		// Zero-copy PCM ingestion: each device's recording is scanned as
-		// the int16 PCM it was captured as (audio.Buffer.Samples) — the
-		// engine fuses the widening conversion into its FFT pack stage and
-		// sliding-window feed, so the per-device 4×-sized float64 copy the
-		// session used to make (Buffer.Float) is gone, and results are
-		// bit-identical to scanning the converted recording.
-		go func() {
-			defer wg.Done()
-			defer trap(&errAuth)
-			resAuth, errAuth = det.DetectAllPCMContext(deps.Ctx, recs[auth].Samples, sigA, sigV)
-			if errAuth != nil {
-				errAuth = fmt.Errorf("core: detect on authenticating device: %w", errAuth)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			defer trap(&errVouch)
-			resVouch, errVouch = det.DetectAllPCMContext(deps.Ctx, recs[vouch].Samples, vouchSigA, vouchSigV)
-			if errVouch != nil {
-				errVouch = fmt.Errorf("core: detect on vouching device: %w", errVouch)
-			}
-		}()
+	if resAuth, err = ccDetect(p.recs[p.auth].Float(), p.sigA, p.sigV); err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
-	if errAuth != nil {
-		return nil, nil, errAuth
-	}
-	if errVouch != nil {
-		return nil, nil, errVouch
+	if resVouch, err = ccDetect(p.recs[p.vouch].Float(), p.vouchSigA, p.vouchSigV); err != nil {
+		return nil, nil, err
 	}
 	return resAuth, resVouch, nil
 }
@@ -570,13 +532,8 @@ func (p *sessionPrep) finishACTION(resAuth, resVouch []detect.Result) (*SessionR
 	res.LocVV = resVouch[1].Location
 
 	// --- Step VI: Eq. 3 — clock-offset-free two-way distance. ---
-	fA := auth.SampleRate()
-	fV := msg.rate
-	if fV <= 0 {
-		return nil, fmt.Errorf("core: vouching device reported invalid rate %g", fV)
-	}
 	res.DistanceM = 0.5 * acoustic.SpeedOfSoundMPS *
-		(float64(res.LocAV-res.LocAA)/fA - float64(msg.diff)/fV)
+		(float64(res.LocAV-res.LocAA)/auth.SampleRate() - float64(msg.diff)/msg.rate)
 	// Plausibility gate: detections displaced onto partial-overlap
 	// windows produce estimates no physical geometry could (signals are
 	// undetectable beyond d_s). Treat them as the signal not being

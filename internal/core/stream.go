@@ -53,11 +53,13 @@ var ErrStreamDecided = errors.New("core: streaming session already decided")
 // is far more than enough).
 const earlySlack = 64
 
-// SessionStream is the incremental form of RunACTIONWith: Steps I–III run
-// up front exactly as in the batch pipeline (same RNG draw order, same
-// rendered scene), but Step IV consumes each device's PCM in chunks as the
-// audio "arrives" and the session can decide as soon as both recordings
-// have revealed their signals — before either recording is complete.
+// SessionStream is Step IV of a frequency-mode ACTION session, one
+// detect.Stream per device. Steps I–III run up front (prepareACTION); a
+// live session (OpenACTIONStream) then consumes each device's PCM in
+// chunks as the audio "arrives" and can decide as soon as both recordings
+// have revealed their signals — before either recording is complete. A
+// batch session (RunACTIONWith) is the same stream fed once: each device's
+// stream borrows its whole recording and TryResult decides immediately.
 //
 // Determinism contract: feeding each role its complete recording — in
 // chunks of any size, including all at once — and calling TryResult yields
@@ -102,18 +104,32 @@ func OpenACTIONStream(
 	if err != nil {
 		return nil, err
 	}
+	return newSessionStream(p, false)
+}
+
+// newSessionStream opens one Step-IV stream per device over p's rendered
+// recordings: empty, to be fed as the audio arrives, or — when fed is set —
+// already holding each whole recording (borrowed, not copied) with its
+// coarse grid scanned, so TryResult decides at once.
+func newSessionStream(p *sessionPrep, fed bool) (*SessionStream, error) {
 	ss := &SessionStream{p: p}
 	devs := [2]*device.Device{p.auth, p.vouch}
 	sigs := [2][2]*sigref.Signal{{p.sigA, p.sigV}, {p.vouchSigA, p.vouchSigV}}
 	for r, dev := range devs {
 		pcm := p.recs[dev].Samples
-		st, err := p.det.NewStream(len(pcm), sigs[r][0], sigs[r][1])
+		var st *detect.Stream
+		var err error
+		if fed {
+			st, err = p.det.FedStream(p.deps.Ctx, pcm, sigs[r][0], sigs[r][1])
+		} else {
+			st, err = p.det.NewStream(len(pcm), sigs[r][0], sigs[r][1])
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: streaming detect (%s role): %w", Role(r), err)
 		}
 		ss.streams[r] = st
 		ss.rec[r] = pcm
-		ss.early[r] = earlyFeedLen(dev, cfg, p, len(pcm))
+		ss.early[r] = earlyFeedLen(dev, p.cfg, p, len(pcm))
 	}
 	return ss, nil
 }

@@ -121,7 +121,7 @@ func TestDetectNeverConfusesManyRandomSignals(t *testing.T) {
 		for i, v := range a.Samples() {
 			rec[4000+i] += 0.5 * v
 		}
-		res, err := det.Detect(rec, b)
+		res, err := detectOne(det, rec, b)
 		if err != nil {
 			t.Fatal(err)
 		}

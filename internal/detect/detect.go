@@ -44,7 +44,7 @@ type Config struct {
 	// candidate frequencies' (possibly aliased) bins ± Theta. When set
 	// explicitly the band must lie inside the canonical half-spectrum
 	// [0, winLen/2] (hi is half-open, so hi ≤ winLen/2+1) and cover the
-	// signals' spectral footprint; DetectAll rejects it otherwise rather
+	// signals' spectral footprint; every scan rejects it otherwise rather
 	// than silently scoring bins the engine never computed.
 	CandidateBandLo int
 	CandidateBandHi int
@@ -102,7 +102,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("detect: candidate band [%d, %d) is inverted (lo ≥ hi)", c.CandidateBandLo, c.CandidateBandHi)
 		}
 		// The upper bound depends on the window length, which is a signal
-		// property; DetectAll enforces CandidateBandHi ≤ winLen/2+1.
+		// property; every scan enforces CandidateBandHi ≤ winLen/2+1.
 	}
 	return nil
 }
@@ -535,61 +535,24 @@ func (d *Detector) NormPower(window []float64, sig *sigref.Signal) (float64, err
 	return d.newSigSpec(sig).normPower(ws.spec, d.cfg.Theta), nil
 }
 
-// Detect runs Algorithm 1 for a single reference signal.
-func (d *Detector) Detect(recording []float64, sig *sigref.Signal) (Result, error) {
-	results, err := d.DetectAll(recording, sig)
-	if err != nil {
-		return Result{}, err
-	}
-	return results[0], nil
-}
-
-// DetectAll locates several reference signals in one recording, sharing the
-// coarse-scan FFTs across signals — the prototype's "detect the two
-// reference signals simultaneously in one scan" optimization. All signals
-// must share Params (length and grid).
+// DetectAll locates several reference signals in one complete float64
+// recording, sharing the coarse-scan FFTs across signals — the prototype's
+// "detect the two reference signals simultaneously in one scan"
+// optimization. All signals must share Params (length and grid).
 //
-// Window spectra run through the pooled zero-alloc band-limited engine —
-// exact band-restricted FFTs (dsp.FFTPlan.PowerSpectrumBandInto) or, when
-// the scan's hop sits below the dsp.StreamingWins break-even, incremental
-// sliding-DFT updates (dsp.SlidingBandDFT) — computed only over the band
-// Algorithm 2 reads (see Config.CandidateBandLo/Hi; an explicit band that
-// is invalid or fails to cover the signals' footprint is rejected here).
-// Windows are scored across a bounded worker pool claiming fixed hop
-// blocks, and the reduction is performed in window order, so results are
-// deterministic for a given recording regardless of GOMAXPROCS. The fine
-// scan streams whenever its hop is below the break-even (the paper's
-// default fine step of 10 is) and re-scores every near-peak window with an
-// exact FFT, so reported locations and powers are bit-identical to an
-// all-exact fine scan by construction (see the fine-scan section below).
-func (d *Detector) DetectAll(recording []float64, sigs ...*sigref.Signal) ([]Result, error) {
-	return d.detectAll(nil, recSource{f: recording}, sigs)
-}
-
-// DetectAllContext is DetectAll with cooperative cancellation: the scan
-// observes ctx between hop blocks (the fixed dsp.StreamResyncHops /
-// fftScanBlock grid) and between phases, returning ctx.Err() as soon as a
-// checkpoint sees the context done. Scans that complete are bit-identical
-// to DetectAll — cancellation can only abort a scan, never reorder or
-// change its scores. A nil ctx scans without checkpoints.
-func (d *Detector) DetectAllContext(ctx context.Context, recording []float64, sigs ...*sigref.Signal) ([]Result, error) {
-	return d.detectAll(ctx, recSource{f: recording}, sigs)
-}
-
-// DetectAllPCM is DetectAll over a raw int16 PCM recording — the
-// representation sessions actually record (audio.Buffer.Samples). The
-// widening conversion is fused into the engine's FFT pack stage and
-// sliding-window feed, so no float64 copy of the recording is ever
-// materialized and results are bit-identical to
-// DetectAll(audio.ToFloat(pcm), ...).
-func (d *Detector) DetectAllPCM(pcm []int16, sigs ...*sigref.Signal) ([]Result, error) {
-	return d.detectAll(nil, recSource{pcm: pcm}, sigs)
-}
-
-// DetectAllPCMContext is DetectAllPCM with the cooperative-cancellation
-// checkpoints of DetectAllContext.
-func (d *Detector) DetectAllPCMContext(ctx context.Context, pcm []int16, sigs ...*sigref.Signal) ([]Result, error) {
-	return d.detectAll(ctx, recSource{pcm: pcm}, sigs)
+// It is a Stream fed once: the recording is borrowed (never copied) as the
+// stream's whole buffer, scanned in one pass, and reduced by one
+// Stream.Results call — the only Algorithm-1 reduction in the package. A
+// nil ctx scans without cancellation checkpoints; otherwise the scan
+// observes ctx between hop blocks and phases and returns ctx.Err() once
+// it is done (a scan that completes is bit-identical either way).
+func (d *Detector) DetectAll(ctx context.Context, recording []float64, sigs ...*sigref.Signal) ([]Result, error) {
+	st, err := d.fedStream(ctx, recSource{f: recording}, sigs)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := st.Results(ctx)
+	return res, err
 }
 
 // ctxErr reports a done context without blocking; nil contexts never err.
@@ -603,125 +566,6 @@ func ctxErr(ctx context.Context) error {
 	default:
 		return nil
 	}
-}
-
-func (d *Detector) detectAll(ctx context.Context, rec recSource, sigs []*sigref.Signal) ([]Result, error) {
-	if len(sigs) == 0 {
-		return nil, errors.New("detect: no signals given")
-	}
-	for _, s := range sigs {
-		if s == nil {
-			return nil, errors.New("detect: nil signal")
-		}
-		if s.Params() != sigs[0].Params() {
-			return nil, errors.New("detect: signals have differing parameters")
-		}
-	}
-	winLen := sigs[0].Params().Length
-	if rec.len() < winLen {
-		return nil, fmt.Errorf("detect: recording %d shorter than window %d", rec.len(), winLen)
-	}
-	band, err := d.cfg.scanBand(sigs[0].Params())
-	if err != nil {
-		return nil, err
-	}
-
-	specs := make([]*sigSpec, len(sigs))
-	for i, s := range sigs {
-		specs[i] = d.newSigSpec(s)
-	}
-
-	results := make([]Result, len(sigs))
-	bestIdx := make([]int, len(sigs))
-	bestPow := make([]float64, len(sigs))
-	for i := range bestPow {
-		bestPow[i] = math.Inf(-1)
-		bestIdx[i] = -1
-	}
-
-	// Coarse scan: one FFT per window, scored against every signal. The
-	// windows are scored across the worker pool, then reduced sequentially
-	// in window order, so the result (including ties, which the earliest
-	// window wins) is deterministic and independent of GOMAXPROCS —
-	// identical to running this engine's scan sequentially. (It is not
-	// bit-identical to the pre-plan implementation: the planned FFT rounds
-	// a few ULPs differently; see dsp.FFTPlan.)
-	limit := rec.len() - winLen
-	coarseCount := limit/d.cfg.CoarseStep + 1
-	sb := d.getScores(coarseCount * len(specs))
-	defer d.scorePool.Put(sb)
-
-	// The coarse scan streams (sliding-DFT hops between periodic full-FFT
-	// resyncs) when the measured break-even says the incremental update is
-	// cheaper than an independent band-restricted FFT per window; at the
-	// paper's default coarse step of 1000 it is not, and the scan runs
-	// exact per-window FFTs — bit-identical to the pre-streaming engine.
-	stream := !d.disableStream && dsp.StreamingWins(winLen, band.hi-band.lo, d.cfg.CoarseStep)
-	scores := sb.buf[:coarseCount*len(specs)]
-	if err := d.scanWindows(ctx, rec, winLen, 0, d.cfg.CoarseStep, coarseCount, band, stream, specs, scores, nil); err != nil {
-		return nil, err
-	}
-	for w := 0; w < coarseCount; w++ {
-		i := w * d.cfg.CoarseStep
-		row := scores[w*len(specs) : (w+1)*len(specs)]
-		for s := range specs {
-			if p := row[s]; p > bestPow[s] {
-				bestPow[s], bestIdx[s] = p, i
-			}
-		}
-	}
-	scanned := coarseCount
-
-	// The fine scan streams whenever its hop sits below the sliding-DFT
-	// break-even — the paper's default fine step of 10 does (break-even is
-	// hop ≲15 at the paper's 909-bin band) — without giving up the fine
-	// scan's exactness contract: streamed scores pick RE-CHECK CANDIDATES
-	// only. Every window whose streamed score could still be the true
-	// maximum (see fineDriftMargin) is re-scored with one exact
-	// band-restricted FFT, in window order, and the reported location and
-	// power come from those exact scores alone. The exact fine argmax (and
-	// any exact tie for it) always lands inside the candidate interval, so
-	// the result is bit-identical to an all-exact fine scan by
-	// construction; the per-window cost drops from one O(N·log N) FFT to
-	// O(bins·step) rotate-accumulate updates.
-	fineStream := !d.disableStream && dsp.StreamingWins(winLen, band.hi-band.lo, d.cfg.FineStep)
-
-	// Fine scan per signal around its coarse argmax.
-	for s, ss := range specs {
-		// Cancellation checkpoint between scan phases: an abandoned
-		// session stops before burning another fine scan.
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		results[s].WindowsScanned = scanned
-		results[s].CoarseScanned = scanned
-		if bestIdx[s] < 0 || math.IsInf(bestPow[s], -1) {
-			// Every coarse window failed the sanity checks: ⊥.
-			results[s].Power = bestPow[s]
-			results[s].Found = false
-			continue
-		}
-		fineCount, err := d.fineLocate(ctx, rec, winLen, limit, band, fineStream, specs[s:s+1], sb, &bestPow[s], &bestIdx[s])
-		if err != nil {
-			return nil, err
-		}
-		// The streamed evaluations stand in one-for-one for the exact
-		// evaluations of the historical all-exact fine scan (the handful of
-		// at-peak re-checks ride along uncounted), so the modeled per-window
-		// cost accounting is unchanged.
-		results[s].WindowsScanned += fineCount
-		results[s].Power = bestPow[s]
-		// Absent-signal check (Algorithm 1 lines 11–14 with the
-		// prototype's ε threshold): deny when the best match is weaker
-		// than ε·R_S.
-		if bestPow[s] < ss.absentFloor {
-			results[s].Found = false
-			continue
-		}
-		results[s].Location = bestIdx[s]
-		results[s].Found = true
-	}
-	return results, nil
 }
 
 // fineRange returns the fine-scan window sequence around a coarse argmax:
@@ -748,10 +592,18 @@ func (c Config) fineRange(bestIdx, limit int) (lo, hi, count int) {
 // all-exact fine reduction would, and returns the number of fine windows
 // evaluated. one is the single-spec slice for this signal (a subslice of
 // the caller's spec array, so the call is allocation-free); sb is the
-// caller's pooled score storage, grown in place as needed. Shared verbatim
-// between the batch scan (detectAll) and the incremental engine
-// (Stream.Results), which is what keeps streamed decisions bit-identical
-// to the batch oracle.
+// caller's pooled score storage, grown in place as needed.
+//
+// The fine scan streams whenever its hop sits below the sliding-DFT
+// break-even — the paper's default fine step of 10 does (break-even is hop
+// ≲15 at the paper's 909-bin band) — without giving up the fine scan's
+// exactness contract: streamed scores pick re-check candidates only, every
+// window whose streamed score could still be the true maximum is
+// re-scored with one exact band-restricted FFT (rescoreFinePeaks), and the
+// reported location and power come from those exact scores alone. The
+// streamed evaluations stand in one-for-one for the exact evaluations of
+// an all-exact fine scan (the at-peak re-checks ride along uncounted), so
+// the returned count is the all-exact scan's.
 func (d *Detector) fineLocate(ctx context.Context, rec recSource, winLen, limit int, band bandRange, fineStream bool, one []*sigSpec, sb *scoreBuf, bestPow *float64, bestIdx *int) (int, error) {
 	lo, _, fineCount := d.cfg.fineRange(*bestIdx, limit)
 	need := fineCount

@@ -64,7 +64,7 @@ func TestDetectCleanPlantedSignal(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := plantSignal(sig, 30000, at, 0.5)
-		res, err := det.Detect(rec, sig)
+		res, err := detectOne(det, rec, sig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestDetectAbsentSignalIsBottom(t *testing.T) {
 	}
 
 	// Pure silence.
-	res, err := det.Detect(make([]float64, 20000), sig)
+	res, err := detectOne(det, make([]float64, 20000), sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDetectAbsentSignalIsBottom(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := plantSignal(other, 20000, 5000, 0.5)
-	res, err = det.Detect(rec, sig)
+	res, err = detectOne(det, rec, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDetectHeavilyAttenuatedIsAbsent(t *testing.T) {
 	}
 	// Wall-grade attenuation: amplitude 0.02 → power 0.04% < α.
 	rec := plantSignal(sig, 20000, 5000, 0.02)
-	res, err := det.Detect(rec, sig)
+	res, err := detectOne(det, rec, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDetectAllValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.DetectAll(make([]float64, 10000)); err == nil {
+	if _, err := detectFloat(det, make([]float64, 10000)); err == nil {
 		t.Error("no signals accepted")
 	}
 	p := sigref.DefaultParams()
@@ -206,10 +206,10 @@ func TestDetectAllValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.DetectAll(make([]float64, 100), sig); err == nil {
+	if _, err := detectFloat(det, make([]float64, 100), sig); err == nil {
 		t.Error("short recording accepted")
 	}
-	if _, err := det.DetectAll(make([]float64, 10000), sig, nil); err == nil {
+	if _, err := detectFloat(det, make([]float64, 10000), sig, nil); err == nil {
 		t.Error("nil signal accepted")
 	}
 	p2 := p
@@ -218,7 +218,7 @@ func TestDetectAllValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.DetectAll(make([]float64, 10000), sig, sig2); err == nil {
+	if _, err := detectFloat(det, make([]float64, 10000), sig, sig2); err == nil {
 		t.Error("mismatched params accepted")
 	}
 }
@@ -242,7 +242,7 @@ func TestDetectBothSignalsOneScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := det.DetectAll(rec, s1, s2)
+	results, err := detectFloat(det, rec, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestDetectThroughSimulatedChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := det.Detect(recs[dst].Float(), sig)
+	res, err := detectOne(det, recs[dst].Float(), sig)
 	if err != nil {
 		t.Fatal(err)
 	}

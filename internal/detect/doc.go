@@ -11,27 +11,28 @@
 //
 // Key types: Config carries the algorithm parameters plus the candidate
 // band (derived by CandidateBand or pinned via CandidateBandLo/Hi, both
-// validated); Detector owns pooled per-worker scan workspaces and runs
-// DetectAll, the two-signal scan, and DetectAllPCM, its zero-copy raw
-// int16 form (the widening conversion is fused into the spectral engine,
-// bit-identically); Pool is the bounded worker set a batching service
-// shares across sessions, with cooperative idle-worker recruitment. Scans
-// compute per-window spectra only over the candidate band and switch to
-// the streaming sliding-DFT engine below the measured dsp.StreamingWins
-// break-even — the default fine step does, so the fine scan streams its
-// hops and then re-scores every window within a drift margin of the
-// streamed maximum with an exact band-restricted FFT, reporting locations
-// and powers from exact scores only (bit-identical to an all-exact fine
-// scan by construction).
+// validated); Detector owns pooled per-worker scan workspaces; Pool is the
+// bounded worker set a batching service shares across sessions, with
+// cooperative idle-worker recruitment. Scans compute per-window spectra
+// only over the candidate band and switch to the streaming sliding-DFT
+// engine below the measured dsp.StreamingWins break-even — the default
+// fine step does, so the fine scan streams its hops and then re-scores
+// every window within a drift margin of the streamed maximum with an exact
+// band-restricted FFT, reporting locations and powers from exact scores
+// only (bit-identical to an all-exact fine scan by construction).
 //
-// Detector.NewStream is the incremental form of the same scan: a Stream
-// accumulates chunked PCM against the recording length declared at
-// construction (bounded by MaxStreamLength; over-feeding is rejected
-// whole with ErrFeedOverflow), scores coarse blocks as they complete on
-// the exact grid the batch scan would use, runs the fine re-check as soon
-// as the candidate band is buffered, and reports via Results either the
-// per-signal results or how many more samples it needs — after any prefix,
-// its state is bit-identical to a batch scan of that prefix.
+// Stream is the one Algorithm-1 engine. Detector.NewStream declares a
+// recording's length up front (bounded by MaxStreamLength; over-feeding is
+// rejected whole with ErrFeedOverflow), scores coarse blocks as chunked
+// PCM completes them on a grid fixed by that length, and Results — the
+// package's only coarse-argmax/fine-scan/ε reduction — reports either the
+// per-signal results or how many more samples it needs. Batch detection is
+// the same stream fed once: Detector.FedStream borrows a complete int16
+// recording (no copy; the widening conversion is fused into the spectral
+// engine, bit-identically) and DetectAll a complete float64 one, both
+// scanning the whole grid at once and reducing with the same Results. The
+// two signals of a session share every coarse-window spectrum (the
+// prototype's single-scan optimization).
 //
 // Invariants: scans are bit-deterministic at any GOMAXPROCS and pool size —
 // streaming-scan workers claim contiguous hop blocks aligned to the resync

@@ -56,11 +56,11 @@ func TestFineScanStreamedBitIdentical(t *testing.T) {
 		exact.disableStream = true
 
 		runtime.GOMAXPROCS(1)
-		want, err := exact.DetectAll(rec, s1, s2)
+		want, err := detectFloat(exact, rec, s1, s2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantQ, err := exact.DetectAll(recQ, s1, s2)
+		wantQ, err := detectFloat(exact, recQ, s1, s2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +70,11 @@ func TestFineScanStreamedBitIdentical(t *testing.T) {
 
 		for _, procs := range []int{1, 2, 4, 8} {
 			runtime.GOMAXPROCS(procs)
-			got, err := streamed.DetectAll(rec, s1, s2)
+			got, err := detectFloat(streamed, rec, s1, s2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotPCM, err := streamed.DetectAllPCM(pcm, s1, s2)
+			gotPCM, err := detectPCM(streamed, pcm, s1, s2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestFineScanExactAtPeakNearTie(t *testing.T) {
 				}
 
 				runtime.GOMAXPROCS(1)
-				want, err := exact.Detect(rec, sig)
+				want, err := detectOne(exact, rec, sig)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,7 +212,7 @@ func TestFineScanExactAtPeakNearTie(t *testing.T) {
 
 				for _, procs := range []int{1, 2, 4, 8} {
 					runtime.GOMAXPROCS(procs)
-					got, err := streamed.Detect(rec, sig)
+					got, err := detectOne(streamed, rec, sig)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -306,11 +306,11 @@ func TestDetectAllPCMMatchesFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := det.DetectAll(audio.ToFloat(pcm), s1, s2)
+	want, err := detectFloat(det, audio.ToFloat(pcm), s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := det.DetectAllPCM(pcm, s1, s2)
+	got, err := detectPCM(det, pcm, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,18 +322,18 @@ func TestDetectAllPCMMatchesFloat(t *testing.T) {
 	if !got[0].Found || !got[1].Found {
 		t.Fatalf("planted signals not found via PCM: %+v", got)
 	}
-	if _, err := det.DetectAllPCM(make([]int16, 100), s1); err == nil {
+	if _, err := detectPCM(det, make([]int16, 100), s1); err == nil {
 		t.Fatal("short PCM recording accepted")
 	}
-	if _, err := det.DetectAllPCM(pcm); err == nil {
+	if _, err := detectPCM(det, pcm); err == nil {
 		t.Fatal("no signals accepted")
 	}
 }
 
 // TestDetectAllPCMSteadyStateAllocs extends the zero-alloc contract to the
-// PCM ingestion path: once pools are warm, DetectAllPCM allocations are
-// per-call, not per-window — and in particular there is no hidden
-// recording-sized conversion buffer.
+// PCM ingestion path: once pools are warm, a fed-once PCM stream's
+// (FedStream + Results) allocations are per-call, not per-window — and in
+// particular there is no hidden recording-sized buffer.
 func TestDetectAllPCMSteadyStateAllocs(t *testing.T) {
 	recShortF, a1, a2 := benchRecording(t, 56, 26460)
 	recLongF, b1, b2 := benchRecording(t, 57, 52920)
@@ -342,12 +342,12 @@ func TestDetectAllPCMSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.DetectAllPCM(recLong, b1, b2); err != nil {
+	if _, err := detectPCM(det, recLong, b1, b2); err != nil {
 		t.Fatal(err)
 	}
 	measure := func(rec []int16, s1, s2 *sigref.Signal) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := det.DetectAllPCM(rec, s1, s2); err != nil {
+			if _, err := detectPCM(det, rec, s1, s2); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -356,7 +356,7 @@ func TestDetectAllPCMSteadyStateAllocs(t *testing.T) {
 	long := measure(recLong, b1, b2)
 	const fixedBudget = 80
 	if long > fixedBudget {
-		t.Fatalf("DetectAllPCM allocates %.0f per call, budget %d", long, fixedBudget)
+		t.Fatalf("fed-once PCM detection allocates %.0f per call, budget %d", long, fixedBudget)
 	}
 	if long > short+8 {
 		t.Fatalf("allocations scale with windows: %.0f (short) → %.0f (long)", short, long)
@@ -370,12 +370,12 @@ func TestDetectAllPCMSteadyStateAllocs(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := det.DetectAllPCM(recLong, b1, b2); err != nil {
+	if _, err := detectPCM(det, recLong, b1, b2); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
-		t.Fatalf("one warm DetectAllPCM call allocated %d bytes — conversion copy crept back in", grew)
+		t.Fatalf("one warm fed-once PCM detection allocated %d bytes — a recording copy crept back in", grew)
 	}
 }
 

@@ -43,13 +43,13 @@ func (st *Stream) FeedLost(ctx context.Context, n int) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.buf)+n > st.total {
+	lo := st.rec.len()
+	if lo+n > st.total {
 		return fmt.Errorf("%w: %d + %d lost samples against declared length %d",
-			ErrFeedOverflow, len(st.buf), n, st.total)
+			ErrFeedOverflow, lo, n, st.total)
 	}
-	lo := len(st.buf)
-	st.buf = st.buf[:lo+n]
-	clear(st.buf[lo:])
+	st.rec.pcm = st.rec.pcm[:lo+n]
+	clear(st.rec.pcm[lo:])
 	if k := len(st.lost); k > 0 && st.lost[k-1].hi == lo {
 		st.lost[k-1].hi = lo + n
 	} else {

@@ -39,7 +39,7 @@ func lossFixture(t *testing.T) (*Detector, []int16, []*sigref.Signal, []Result) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := det.DetectAllPCM(pcm, s1, s2)
+	want, err := detectPCM(det, pcm, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,29 +25,29 @@ const MaxStreamLength = 1 << 24
 // remains usable with the audio fed so far.
 var ErrFeedOverflow = errors.New("detect: streamed PCM exceeds the declared recording length")
 
-// Stream is the incremental form of DetectAllPCM: one recording's scan fed
-// chunk by chunk while the audio is still arriving.
+// Stream is the package's one Algorithm-1 engine: a recording's scan,
+// fed chunk by chunk while the audio is still arriving, or all at once.
 //
 // The stream is declared with the recording's total length up front (the
 // session knows its recording duration before the first sample exists), so
 // the coarse window grid, the fine-scan clamping range, and the
-// WindowsScanned cost accounting are all fixed a priori — identical to the
-// batch scan of the eventual complete recording. Feed appends PCM and
-// advances the coarse scan over exactly the windows the new samples
-// completed, on the same fixed block grid and in the same window order as
-// the batch engine; Results reduces the scanned prefix and, once the
-// audio covering each candidate's fine band has arrived, runs the same
-// fine scan (streamed hops + exact-at-peak re-check, via the shared
-// fineLocate machinery) the batch engine runs.
+// WindowsScanned cost accounting are all fixed a priori. Feed appends PCM
+// and advances the coarse scan over exactly the windows the new samples
+// completed, on the fixed block grid and in window order; Results reduces
+// the scanned prefix and, once the audio covering each candidate's fine
+// band has arrived, runs the fine scan (streamed hops + exact-at-peak
+// re-check, via fineLocate). Batch detection is the same stream fed once:
+// FedStream and DetectAll borrow a complete recording as the buffer, scan
+// it in one pass, and reduce it with the same Results.
 //
 // Determinism contract: after the full declared length has been fed —
 // in chunks of ANY size, including all at once — Results is bit-identical
-// to DetectAllPCM of the complete recording, at any GOMAXPROCS. Results
+// to FedStream over the complete recording, at any GOMAXPROCS. Results
 // called on a prefix is the exact deterministic fold of that prefix's
-// windows: it equals the batch result whenever no unscanned tail window
-// both passes the α/β sanity checks and beats the prefix maximum (the
-// session layer derives a protocol horizon after which the schedule
-// guarantees that; see core).
+// windows: it equals the complete recording's result whenever no unscanned
+// tail window both passes the α/β sanity checks and beats the prefix
+// maximum (the session layer derives a protocol horizon after which the
+// schedule guarantees that; see core).
 //
 // A Stream serializes its own methods with an internal mutex, but the
 // intended use is one feeder per stream. It must not be used after its
@@ -65,23 +65,65 @@ type Stream struct {
 
 	maxLost int // lost-sample ceiling (MaxLossFraction × total)
 
-	mu      sync.Mutex
-	buf     []int16   // arrived PCM, cap == total
+	mu sync.Mutex
+	// rec is the audio arrived so far: PCM appended into a buffer of cap
+	// total (NewStream), or a complete recording borrowed whole (FedStream,
+	// DetectAll), which no Feed can then grow or overwrite.
+	rec     recSource
 	scanned int       // coarse windows scored so far (prefix, window order)
 	scores  []float64 // coarse scores, grid.Count × len(specs)
 
 	// Lossy-transport accounting: spans declared lost via FeedLost,
-	// merged ascending, zero-filled in buf. Windows overlapping them are
+	// merged ascending, zero-filled in rec. Windows overlapping them are
 	// excluded from the Results fold (see loss.go).
 	lost        []lostSpan
 	lostSamples int
 }
 
 // NewStream opens an incremental scan for a recording declared to be total
-// samples long. The signals must share Params (length and grid), exactly as
-// in DetectAll; total must cover at least one window and stay within
-// MaxStreamLength.
+// samples long, allocating its buffer up front. The signals must share
+// Params (length and grid); total must cover at least one window and stay
+// within MaxStreamLength.
 func (d *Detector) NewStream(total int, sigs ...*sigref.Signal) (*Stream, error) {
+	if total > MaxStreamLength {
+		return nil, fmt.Errorf("detect: declared recording %d exceeds the %d-sample stream bound", total, MaxStreamLength)
+	}
+	st, err := d.newStream(total, sigs)
+	if err != nil {
+		return nil, err
+	}
+	st.rec.pcm = make([]int16, 0, total)
+	return st, nil
+}
+
+// FedStream opens a Stream over a complete int16 PCM recording — the
+// representation sessions record (audio.Buffer.Samples) — already fed: the
+// recording is borrowed as the stream's buffer, not copied, and its whole
+// coarse grid is scanned now (observing ctx as Feed does; nil ctx scans
+// without checkpoints). The caller must not mutate pcm while the stream is
+// in use. Results then decides without needing more audio. The widening
+// conversion is fused into the engine's FFT pack stage and sliding-window
+// feed, so results are bit-identical to DetectAll(audio.ToFloat(pcm), ...).
+func (d *Detector) FedStream(ctx context.Context, pcm []int16, sigs ...*sigref.Signal) (*Stream, error) {
+	return d.fedStream(ctx, recSource{pcm: pcm}, sigs)
+}
+
+// fedStream is FedStream over either sample representation.
+func (d *Detector) fedStream(ctx context.Context, rec recSource, sigs []*sigref.Signal) (*Stream, error) {
+	st, err := d.newStream(rec.len(), sigs)
+	if err != nil {
+		return nil, err
+	}
+	st.rec = rec
+	if err := st.advance(ctx); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// newStream validates the signals and lays out the fixed scan grid for a
+// total-sample recording; the caller installs the buffer.
+func (d *Detector) newStream(total int, sigs []*sigref.Signal) (*Stream, error) {
 	if len(sigs) == 0 {
 		return nil, errors.New("detect: no signals given")
 	}
@@ -95,10 +137,7 @@ func (d *Detector) NewStream(total int, sigs ...*sigref.Signal) (*Stream, error)
 	}
 	winLen := sigs[0].Params().Length
 	if total < winLen {
-		return nil, fmt.Errorf("detect: declared recording %d shorter than window %d", total, winLen)
-	}
-	if total > MaxStreamLength {
-		return nil, fmt.Errorf("detect: declared recording %d exceeds the %d-sample stream bound", total, MaxStreamLength)
+		return nil, fmt.Errorf("detect: recording %d shorter than window %d", total, winLen)
 	}
 	band, err := d.cfg.scanBand(sigs[0].Params())
 	if err != nil {
@@ -109,6 +148,10 @@ func (d *Detector) NewStream(total int, sigs ...*sigref.Signal) (*Stream, error)
 		specs[i] = d.newSigSpec(s)
 	}
 	limit := total - winLen
+	// The coarse scan streams (sliding-DFT hops between periodic full-FFT
+	// resyncs) when the measured break-even says the incremental update is
+	// cheaper than an independent band-restricted FFT per window; at the
+	// paper's default coarse step of 1000 it is not.
 	stream := !d.disableStream && dsp.StreamingWins(winLen, band.hi-band.lo, d.cfg.CoarseStep)
 	block := fftScanBlock
 	if stream {
@@ -135,7 +178,6 @@ func (d *Detector) NewStream(total int, sigs ...*sigref.Signal) (*Stream, error)
 		grid:    grid,
 		stream:  stream,
 		maxLost: int(frac * float64(total)),
-		buf:     make([]int16, 0, total),
 		scores:  make([]float64, grid.Count*len(specs)),
 	}, nil
 }
@@ -147,7 +189,7 @@ func (st *Stream) Total() int { return st.total }
 func (st *Stream) Fed() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.buf)
+	return st.rec.len()
 }
 
 // CoarseScanned returns how many coarse windows of the fixed grid have
@@ -169,64 +211,48 @@ func (st *Stream) CoarseScanned() int {
 func (st *Stream) Feed(ctx context.Context, pcm []int16) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.buf)+len(pcm) > st.total {
+	if fed := st.rec.len(); fed+len(pcm) > st.total {
 		return fmt.Errorf("%w: %d + %d samples against declared length %d",
-			ErrFeedOverflow, len(st.buf), len(pcm), st.total)
+			ErrFeedOverflow, fed, len(pcm), st.total)
 	}
-	st.buf = append(st.buf, pcm...)
+	st.rec.pcm = append(st.rec.pcm, pcm...)
 	return st.advance(ctx)
 }
 
 // advance scores coarse windows [scanned, frontier) — the windows fully
-// contained in the audio fed so far that have not been scored yet. Called
-// with st.mu held.
+// contained in the audio fed so far that have not been scored yet — in
+// one scan call. Called with st.mu held.
 //
 // In exact-FFT coarse mode (the paper's default: coarse step 1000 is far
 // above the sliding-DFT break-even) every window is scored by an
 // independent band-restricted FFT, so scores are independent of how the
-// windows are grouped into scan calls and the frontier advances in one
-// call. In streaming coarse mode the batch engine resynchronizes (full-FFT
-// Reset) at fixed StreamResyncHops block starts and slides within a block,
-// so the incremental scan advances block-aligned: each call covers whole
-// grid blocks from the block containing the frontier, re-sliding a partial
-// block's already-scored prefix when its block completes later —
-// recomputing bit-identical values, never diverging from the batch grid.
+// windows are grouped into scan calls. In streaming coarse mode the engine
+// resynchronizes (full-FFT Reset) at fixed StreamResyncHops block starts
+// and slides within a block, so the scan restarts at the block containing
+// the frontier, re-sliding a partial block's already-scored prefix —
+// recomputing bit-identical values, never diverging from the fixed grid.
+// A scan error leaves the frontier unchanged; the next call rescans.
 func (st *Stream) advance(ctx context.Context) error {
-	frontier := st.grid.CompleteWindows(len(st.buf))
+	frontier := st.grid.CompleteWindows(st.rec.len())
 	if frontier <= st.scanned {
 		return nil
 	}
-	rec := recSource{pcm: st.buf}
+	w0 := st.scanned
+	if st.stream {
+		w0 -= w0 % st.grid.Block
+	}
 	k := len(st.specs)
-	if !st.stream {
-		lo := st.grid.WindowStart(st.scanned)
-		count := frontier - st.scanned
-		if err := st.d.scanWindows(ctx, rec, st.winLen, lo, st.grid.Step, count, st.band, false, st.specs, st.scores[st.scanned*k:frontier*k], nil); err != nil {
-			return err
-		}
-		st.scanned = frontier
-		return nil
+	if err := st.d.scanWindows(ctx, st.rec, st.winLen, st.grid.WindowStart(w0), st.grid.Step, frontier-w0, st.band, st.stream, st.specs, st.scores[w0*k:frontier*k], nil); err != nil {
+		return err
 	}
-	for b := st.scanned / st.grid.Block; ; b++ {
-		w0, w1 := st.grid.BlockBounds(b)
-		if w0 >= frontier {
-			break
-		}
-		end := w1
-		if end > frontier {
-			end = frontier
-		}
-		if err := st.d.scanWindows(ctx, rec, st.winLen, st.grid.WindowStart(w0), st.grid.Step, end-w0, st.band, true, st.specs, st.scores[w0*k:end*k], nil); err != nil {
-			return err
-		}
-		st.scanned = end
-	}
+	st.scanned = frontier
 	return nil
 }
 
-// Results reduces the scanned prefix into one Result per signal — the
-// same argmax fold, fine scan, exact-at-peak re-check, and ε absent check
-// the batch engine performs, over the windows arrived so far.
+// Results reduces the scanned prefix into one Result per signal —
+// Algorithm 1's argmax fold (strictly greater, so the earliest window wins
+// a tie), the fine scan with its exact-at-peak re-check, and the ε·R_S
+// absent check — over the windows arrived so far.
 //
 // The int return is the need: 0 when the results are valid for the current
 // prefix, otherwise the largest number of additional samples required
@@ -239,8 +265,8 @@ func (st *Stream) advance(ctx context.Context) error {
 // Cost accounting note: WindowsScanned and CoarseScanned report the FULL
 // fixed grid's coarse count (known a priori from the declared length), not
 // the prefix's — the modeled per-window cost of the eventual complete scan,
-// byte-identical to the batch engine's accounting, which is what keeps an
-// early decision's modeled timing equal to the batch oracle's.
+// which is what keeps an early decision's modeled timing equal to the
+// complete recording's.
 func (st *Stream) Results(ctx context.Context) ([]Result, int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -253,7 +279,7 @@ func (st *Stream) Results(ctx context.Context) ([]Result, int, error) {
 	if err := st.advance(ctx); err != nil {
 		return nil, 0, err
 	}
-	fed := len(st.buf)
+	fed := st.rec.len()
 	if st.scanned == 0 {
 		return nil, st.grid.NeedFor(0) - fed, nil
 	}
@@ -323,7 +349,6 @@ func (st *Stream) Results(ctx context.Context) ([]Result, int, error) {
 	}
 
 	fineStream := !st.d.disableStream && dsp.StreamingWins(st.winLen, st.band.hi-st.band.lo, st.d.cfg.FineStep)
-	rec := recSource{pcm: st.buf}
 	sb := st.d.getScores(1)
 	defer st.d.scorePool.Put(sb)
 	results := make([]Result, k)
@@ -335,13 +360,13 @@ func (st *Stream) Results(ctx context.Context) ([]Result, int, error) {
 		results[s].CoarseScanned = st.grid.Count
 		if bestIdx[s] < 0 || math.IsInf(bestPow[s], -1) {
 			// Every scanned window failed the sanity checks: ⊥ on this
-			// prefix (equal to the batch ⊥ once the tail holds no passing
-			// window — the horizon contract).
+			// prefix (equal to the complete recording's ⊥ once the tail
+			// holds no passing window — the horizon contract).
 			results[s].Power = bestPow[s]
 			results[s].Found = false
 			continue
 		}
-		fineCount, err := st.d.fineLocate(ctx, rec, st.winLen, st.limit, st.band, fineStream, st.specs[s:s+1], sb, &bestPow[s], &bestIdx[s])
+		fineCount, err := st.d.fineLocate(ctx, st.rec, st.winLen, st.limit, st.band, fineStream, st.specs[s:s+1], sb, &bestPow[s], &bestIdx[s])
 		if err != nil {
 			return nil, 0, err
 		}

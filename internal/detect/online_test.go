@@ -103,7 +103,7 @@ func TestStreamFeedOverflowTyped(t *testing.T) {
 	if err != nil || need != 0 {
 		t.Fatalf("after recovery: need=%d err=%v", need, err)
 	}
-	want, err := det.DetectAllPCM(pcm, s1, s2)
+	want, err := detectPCM(det, pcm, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestStreamFeedOverflowTyped(t *testing.T) {
 	}
 }
 
-// TestStreamReplayBitIdenticalAnyChunking is the engine-level oracle check:
-// the same recording fed in 1-sample, prime-sized, window-aligned, and
-// whole-recording chunks must reproduce DetectAllPCM field-for-field, at
-// several GOMAXPROCS settings.
+// TestStreamReplayBitIdenticalAnyChunking is the engine-level chunking
+// check: the same recording fed in 1-sample, prime-sized, window-aligned,
+// and whole-recording chunks must reproduce the stream fed once
+// (FedStream) field-for-field, at several GOMAXPROCS settings.
 func TestStreamReplayBitIdenticalAnyChunking(t *testing.T) {
 	recF, s1, s2 := benchRecording(t, 21, 52920)
 	pcm := audio.FromFloat(recF)
@@ -125,7 +125,7 @@ func TestStreamReplayBitIdenticalAnyChunking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := det.DetectAllPCM(pcm, s1, s2)
+	want, err := detectPCM(det, pcm, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestStreamEarlyPrefixDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := det.DetectAllPCM(pcm, s1, s2)
+	want, err := detectPCM(det, pcm, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestStreamAbsentSignalPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	pcm := make([]int16, 20000)
-	want, err := det.DetectAllPCM(pcm, sig)
+	want, err := detectPCM(det, pcm, sig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,9 @@ func TestDetectAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 
 	prev := runtime.GOMAXPROCS(1)
-	seq, errSeq := det.DetectAll(rec, s1, s2)
+	seq, errSeq := detectFloat(det, rec, s1, s2)
 	runtime.GOMAXPROCS(4)
-	par, errPar := det.DetectAll(rec, s1, s2)
+	par, errPar := detectFloat(det, rec, s1, s2)
 	runtime.GOMAXPROCS(prev)
 	if errSeq != nil || errPar != nil {
 		t.Fatal(errSeq, errPar)
@@ -65,7 +65,7 @@ func TestDetectAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 
 	// And repeated runs are stable.
-	again, err := det.DetectAll(rec, s1, s2)
+	again, err := detectFloat(det, rec, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestDetectAllSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm the workspace and score pools.
-	if _, err := det.DetectAll(recLong, b1, b2); err != nil {
+	if _, err := detectFloat(det, recLong, b1, b2); err != nil {
 		t.Fatal(err)
 	}
 
 	measure := func(rec []float64, s1, s2 *sigref.Signal) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := det.DetectAll(rec, s1, s2); err != nil {
+			if _, err := detectFloat(det, rec, s1, s2); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -122,7 +122,7 @@ func BenchmarkDetectAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := det.DetectAll(rec, s1, s2)
+		res, err := detectFloat(det, rec, s1, s2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func BenchmarkDetectAllFine(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := det.DetectAll(rec, s1, s2)
+			res, err := detectFloat(det, rec, s1, s2)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -163,9 +163,10 @@ func BenchmarkDetectAllFine(b *testing.B) {
 	b.Run("exact", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkDetectAllPCM measures the zero-copy int16 ingestion path on the
-// session-shaped recording: identical scan work to BenchmarkDetectAll, no
-// recording-sized conversion copy (compare allocs/op).
+// BenchmarkDetectAllPCM measures the zero-copy int16 ingestion path — a
+// stream fed once over the borrowed session-shaped recording: identical
+// scan work to BenchmarkDetectAll, no recording-sized copy (compare
+// allocs/op).
 func BenchmarkDetectAllPCM(b *testing.B) {
 	recF, s1, s2 := benchRecording(b, 24, 52920)
 	rec := audio.FromFloat(recF)
@@ -176,7 +177,7 @@ func BenchmarkDetectAllPCM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := det.DetectAllPCM(rec, s1, s2)
+		res, err := detectPCM(det, rec, s1, s2)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -58,10 +58,10 @@ func TestScanWindowsBoundsGuard(t *testing.T) {
 	}
 
 	// The exported surface rejects too-short recordings outright.
-	if _, err := det.Detect(make([]float64, p.Length-1), sig); err == nil {
+	if _, err := detectOne(det, make([]float64, p.Length-1), sig); err == nil {
 		t.Fatal("Detect accepted a recording shorter than the window")
 	}
-	if _, err := det.DetectAll(make([]float64, p.Length-1), sig, sig); err == nil {
+	if _, err := detectFloat(det, make([]float64, p.Length-1), sig, sig); err == nil {
 		t.Fatal("DetectAll accepted a recording shorter than the window")
 	}
 }
@@ -88,7 +88,7 @@ func TestPooledScanMatchesUnpooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plain.DetectAll(rec, sigA, sigB)
+	want, err := detectFloat(plain, rec, sigA, sigB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPooledScanMatchesUnpooled(t *testing.T) {
 	pooled.UsePlans(plans)
 
 	for trial := 0; trial < 3; trial++ {
-		got, err := pooled.DetectAll(rec, sigA, sigB)
+		got, err := detectFloat(pooled, rec, sigA, sigB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestPooledScanConcurrentSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := plantSignal(sig, 30000, 2000+3000*i, 0.5)
-		want, err := det.Detect(rec, sig)
+		want, err := detectOne(det, rec, sig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestPooledScanConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = det.Detect(jobs[i].rec, jobs[i].sig)
+			got[i], errs[i] = detectOne(det, jobs[i].rec, jobs[i].sig)
 		}(i)
 	}
 	wg.Wait()
@@ -193,13 +193,13 @@ func TestPoolCloseDegradesGracefully(t *testing.T) {
 	}
 	pool := NewPool(2)
 	det.UsePool(pool)
-	want, err := det.Detect(rec, sig)
+	want, err := detectOne(det, rec, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool.Close()
 	pool.Close() // idempotent
-	got, err := det.Detect(rec, sig)
+	got, err := detectOne(det, rec, sig)
 	if err != nil {
 		t.Fatal(err)
 	}

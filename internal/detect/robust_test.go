@@ -9,8 +9,8 @@ import (
 	"github.com/acoustic-auth/piano/internal/faultinject"
 )
 
-// TestDetectAllContextPreCanceled: a context canceled before the scan
-// starts aborts at the first checkpoint with ctx.Err().
+// TestDetectAllContextPreCanceled: DetectAll with a context canceled
+// before the scan starts aborts at the first checkpoint with ctx.Err().
 func TestDetectAllContextPreCanceled(t *testing.T) {
 	rec, s1, s2 := benchRecording(t, 31, 52920)
 	det, err := New(DefaultConfig())
@@ -19,17 +19,17 @@ func TestDetectAllContextPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := det.DetectAllContext(ctx, rec, s1, s2); !errors.Is(err, context.Canceled) {
+	if _, err := det.DetectAll(ctx, rec, s1, s2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled scan returned %v, want context.Canceled", err)
 	}
 	// A nil context scans exactly as before.
-	if _, err := det.DetectAllContext(nil, rec, s1, s2); err != nil {
+	if _, err := det.DetectAll(nil, rec, s1, s2); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDetectAllContextCancelMidScan: a fault-injection hook cancels the
-// context partway through the coarse scan's block grid; the scan must
+// TestDetectAllContextCancelMidScan: a fault-injection hook cancels
+// DetectAll's context partway through the coarse scan's block grid; the scan must
 // abort with ctx.Err() instead of finishing, and the detector must keep
 // working for later scans with identical results.
 func TestDetectAllContextCancelMidScan(t *testing.T) {
@@ -38,7 +38,7 @@ func TestDetectAllContextCancelMidScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := det.DetectAll(rec, s1, s2)
+	clean, err := detectFloat(det, rec, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestDetectAllContextCancelMidScan(t *testing.T) {
 	faultinject.Arm(faultinject.SiteDetectBlock, faultinject.Fault{
 		Action: faultinject.ActHook, Skip: 3, Times: 1, Hook: cancel,
 	})
-	if _, err := det.DetectAllContext(ctx, rec, s1, s2); !errors.Is(err, context.Canceled) {
+	if _, err := det.DetectAll(ctx, rec, s1, s2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-scan cancel returned %v, want context.Canceled", err)
 	}
 	if faultinject.Hits(faultinject.SiteDetectBlock) != 1 {
@@ -60,7 +60,7 @@ func TestDetectAllContextCancelMidScan(t *testing.T) {
 	faultinject.Disable()
 
 	// The detector (and its pooled workspaces) must be unharmed.
-	after, err := det.DetectAll(rec, s1, s2)
+	after, err := detectFloat(det, rec, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestScanPanicIsolation(t *testing.T) {
 			defer p.Close()
 			det.UsePool(p)
 		}
-		clean, err := det.DetectAll(rec, s1, s2)
+		clean, err := detectFloat(det, rec, s1, s2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestScanPanicIsolation(t *testing.T) {
 		faultinject.Arm(faultinject.SiteDetectBlock, faultinject.Fault{
 			Action: faultinject.ActPanic, Skip: 2, Times: 1,
 		})
-		_, err = det.DetectAll(rec, s1, s2)
+		_, err = detectFloat(det, rec, s1, s2)
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("pooled=%v: injected panic returned %v, want *PanicError", pooled, err)
@@ -108,7 +108,7 @@ func TestScanPanicIsolation(t *testing.T) {
 		// The detector and (when attached) the pool must still scan, and
 		// identically: the poisoned workspace must not have been recycled.
 		for round := 0; round < 2; round++ {
-			after, err := det.DetectAll(rec, s1, s2)
+			after, err := detectFloat(det, rec, s1, s2)
 			if err != nil {
 				t.Fatalf("pooled=%v round %d: post-panic scan failed: %v", pooled, round, err)
 			}
@@ -129,7 +129,7 @@ func TestScanStallStillCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := det.DetectAll(rec, s1, s2)
+	clean, err := detectFloat(det, rec, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestScanStallStillCompletes(t *testing.T) {
 	faultinject.Arm(faultinject.SiteDetectBlock, faultinject.Fault{
 		Action: faultinject.ActDelay, Delay: 2e6, Times: 3, // 2 ms
 	})
-	stalled, err := det.DetectAll(rec, s1, s2)
+	stalled, err := detectFloat(det, rec, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}

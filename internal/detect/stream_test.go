@@ -108,7 +108,7 @@ func TestCandidateBandConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.DetectAll(rec, sig); err == nil || !strings.Contains(err.Error(), "outside the canonical spectrum [0, 2048]") {
+	if _, err := detectFloat(det, rec, sig); err == nil || !strings.Contains(err.Error(), "outside the canonical spectrum [0, 2048]") {
 		t.Fatalf("band past the canonical spectrum accepted: %v", err)
 	}
 
@@ -118,7 +118,7 @@ func TestCandidateBandConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.DetectAll(rec, sig); err == nil || !strings.Contains(err.Error(), "does not cover") {
+	if _, err := detectFloat(det, rec, sig); err == nil || !strings.Contains(err.Error(), "does not cover") {
 		t.Fatalf("non-covering band accepted: %v", err)
 	}
 
@@ -128,7 +128,7 @@ func TestCandidateBandConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := derived.DetectAll(rec, sig)
+	want, err := detectFloat(derived, rec, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCandidateBandConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := det.DetectAll(rec, sig)
+	got, err := detectFloat(det, rec, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestStreamingCoarseScanFindsSignals(t *testing.T) {
 	}
 	exact.disableStream = true
 
-	got, err := streaming.DetectAll(rec, s1, s2)
+	got, err := detectFloat(streaming, rec, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exact.DetectAll(rec, s1, s2)
+	want, err := detectFloat(exact, rec, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +210,14 @@ func TestStreamingScanDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	base, err := det.DetectAll(rec, s1, s2)
+	base, err := detectFloat(det, rec, s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, procs := range []int{2, 4, 7} {
 		runtime.GOMAXPROCS(procs)
-		got, err := det.DetectAll(rec, s1, s2)
+		got, err := detectFloat(det, rec, s1, s2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestStreamingScanDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	pooled.UsePool(pool)
 	for trial := 0; trial < 3; trial++ {
-		got, err := pooled.DetectAll(rec, s1, s2)
+		got, err := detectFloat(pooled, rec, s1, s2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,12 +259,12 @@ func TestStreamingSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.DetectAll(recLong, b1, b2); err != nil {
+	if _, err := detectFloat(det, recLong, b1, b2); err != nil {
 		t.Fatal(err)
 	}
 	measure := func(rec []float64, s1, s2 *sigref.Signal) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := det.DetectAll(rec, s1, s2); err != nil {
+			if _, err := detectFloat(det, rec, s1, s2); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -297,7 +297,7 @@ func TestPrewarm(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1) // single worker: one pooled workspace suffices
 	defer runtime.GOMAXPROCS(prev)
 	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := det.DetectAll(rec, s1, s2); err != nil {
+		if _, err := detectFloat(det, rec, s1, s2); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -326,7 +326,7 @@ func BenchmarkDetectAllStream(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := det.DetectAll(rec, s1, s2)
+			res, err := detectFloat(det, rec, s1, s2)
 			if err != nil {
 				b.Fatal(err)
 			}

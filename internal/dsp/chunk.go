@@ -7,11 +7,10 @@ import "fmt"
 // Lo, Lo+Step, …, Lo+(Count−1)·Step, each WinLen samples long — together
 // with the resync-block structure the scan engine claims work on (Block
 // windows per block, dsp.StreamResyncHops for streaming scans). As PCM is
-// appended chunk by chunk, the grid reports how many leading windows (and
-// how many whole blocks) are fully contained in the audio received so far,
-// so an incremental scan can advance exactly to the frontier — on the same
-// grid, in the same order, as a batch scan of the complete recording —
-// and no further.
+// appended chunk by chunk, the grid reports how many leading windows are
+// fully contained in the audio received so far, so an incremental scan can
+// advance exactly to the frontier — on the same grid, in the same order,
+// as a scan of the complete recording — and no further.
 //
 // HopGrid is pure arithmetic over a value receiver: it holds no state and
 // is trivially safe to share.
@@ -25,7 +24,7 @@ type HopGrid struct {
 	// Count is the total number of windows in the grid.
 	Count int
 	// Block is the resync-block size in windows (StreamResyncHops for
-	// streaming scans); CompleteBlocks reports in units of it.
+	// streaming scans); block b covers windows [b·Block, (b+1)·Block).
 	Block int
 }
 
@@ -68,22 +67,6 @@ func (g HopGrid) CompleteWindows(fed int) int {
 	return c
 }
 
-// CompleteBlocks returns how many whole resync blocks are complete at fed
-// samples — CompleteWindows(fed)/Block, except that the grid's final block
-// (which may be short) counts as complete once the last window is. Streaming
-// scans resynchronize (full-FFT Reset) at block starts, so advancing
-// block-by-block reproduces the batch scan's drift pattern bit-exactly.
-func (g HopGrid) CompleteBlocks(fed int) int {
-	c := g.CompleteWindows(fed)
-	if c == g.Count {
-		return g.Blocks()
-	}
-	return c / g.Block
-}
-
-// Blocks returns the total number of resync blocks in the grid.
-func (g HopGrid) Blocks() int { return (g.Count + g.Block - 1) / g.Block }
-
 // WindowsOverlapping returns the index range [w0, w1) of grid windows
 // whose sample span [WindowStart(w), WindowStart(w)+WinLen) intersects the
 // half-open sample range [lo, hi) — the windows a lost transport span
@@ -108,16 +91,6 @@ func (g HopGrid) WindowsOverlapping(lo, hi int) (w0, w1 int) {
 	}
 	if w0 > w1 {
 		w0 = w1
-	}
-	return w0, w1
-}
-
-// BlockBounds returns block b's window range [w0, w1).
-func (g HopGrid) BlockBounds(b int) (w0, w1 int) {
-	w0 = b * g.Block
-	w1 = w0 + g.Block
-	if w1 > g.Count {
-		w1 = g.Count
 	}
 	return w0, w1
 }

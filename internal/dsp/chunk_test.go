@@ -69,37 +69,6 @@ func TestHopGridCompleteWindowsMonotoneAndSaturating(t *testing.T) {
 	}
 }
 
-func TestHopGridBlocks(t *testing.T) {
-	g := HopGrid{Lo: 0, Step: 10, WinLen: 100, Count: 130, Block: 64}
-	if got := g.Blocks(); got != 3 {
-		t.Fatalf("Blocks=%d want 3", got)
-	}
-	// Block bounds tile [0, Count) exactly.
-	at := 0
-	for b := 0; b < g.Blocks(); b++ {
-		w0, w1 := g.BlockBounds(b)
-		if w0 != at || w1 <= w0 || w1 > g.Count {
-			t.Fatalf("block %d bounds [%d, %d) at frontier %d", b, w0, w1, at)
-		}
-		at = w1
-	}
-	if at != g.Count {
-		t.Fatalf("blocks tile to %d, want %d", at, g.Count)
-	}
-
-	// A whole block completes only when its last window does; the final
-	// short block completes with the grid.
-	if got := g.CompleteBlocks(g.NeedFor(63) - 1); got != 0 {
-		t.Fatalf("CompleteBlocks just before window 63 closes = %d, want 0", got)
-	}
-	if got := g.CompleteBlocks(g.NeedFor(63)); got != 1 {
-		t.Fatalf("CompleteBlocks at window 63 close = %d, want 1", got)
-	}
-	if got := g.CompleteBlocks(g.NeedFor(g.Count - 1)); got != g.Blocks() {
-		t.Fatalf("CompleteBlocks at grid close = %d, want %d", got, g.Blocks())
-	}
-}
-
 // TestHopGridWindowsOverlapping checks the lost-span→window mapping
 // against a brute-force sweep over every window, across several grid
 // shapes and span positions (block edges, 1-sample spans, empty spans).

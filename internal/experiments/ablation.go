@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -129,12 +130,12 @@ func RunAblationRandomizationDomain(opts Options) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := det.Detect(rec, sig)
+		res, err := det.DetectAll(context.TODO(), rec, sig)
 		if err != nil {
 			return nil, err
 		}
-		if res.Found {
-			freqErr = append(freqErr, math.Abs(float64(res.Location)-truth)*acoustic.SpeedOfSoundMPS/44100*100)
+		if res[0].Found {
+			freqErr = append(freqErr, math.Abs(float64(res[0].Location)-truth)*acoustic.SpeedOfSoundMPS/44100*100)
 		}
 		// The emitted analog components sit at 25-35 kHz by construction;
 		// judging audibility on the sampled (aliased) spectrum would be

@@ -436,6 +436,21 @@ func TestSessionGapRepairTimeout(t *testing.T) {
 	}
 }
 
+// openRetrying opens a session, backing off (doubling from 5 ms, capped at
+// 250 ms) and retrying while admission sheds with ErrOverloaded, for at
+// most 50 attempts; the last error is returned when they run out.
+func openRetrying(svc *AuthService, req Request) (*Session, error) {
+	delay := 5 * time.Millisecond
+	for attempt := 1; ; attempt++ {
+		sn, err := svc.OpenSession(context.Background(), req)
+		if !errors.Is(err, ErrOverloaded) || attempt == 50 {
+			return sn, err
+		}
+		time.Sleep(delay)
+		delay = min(2*delay, 250*time.Millisecond)
+	}
+}
+
 // TestChaosLossStorm is the loss-storm chaos scenario: concurrent framed
 // sessions over seeded lossy wires while injected faults fail individual
 // frames and stall scans, with some callers abandoning mid-feed. The
@@ -485,7 +500,9 @@ func TestChaosLossStorm(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sn, err := svc.OpenSession(context.Background(), reqs[g%len(reqs)])
+			// Admission shedding is not what this storm tests: like
+			// AuthenticateWithRetry, back off and retry an overloaded open.
+			sn, err := openRetrying(svc, reqs[g%len(reqs)])
 			if err != nil {
 				errs[g] = err
 				return

@@ -411,9 +411,9 @@ func (s *AuthService) AuthenticateContext(ctx context.Context, req Request) (*co
 	sh := s.pin()
 	res, err := s.runSession(ctx, req, sh)
 	if err != nil {
-		// Panics recovered inside the scan engine or the per-device
-		// detection goroutines arrive as *detect.PanicError; fold them
-		// into the service's typed internal error.
+		// Panics recovered inside the scan engine arrive as
+		// *detect.PanicError; fold them into the service's typed internal
+		// error.
 		var pe *detect.PanicError
 		if errors.As(err, &pe) {
 			err = &InternalError{Panic: pe.Value, Stack: pe.Stack}
