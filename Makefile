@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race test-chaos test-lifecycle test-loss test-fuzz staticcheck bench bench-smoke bench-auth bench-detect bench-fine bench-render bench-service bench-online bench-lifecycle bench-loadgen bench-loss cover docs-check clean
+.PHONY: all build vet fmt-check test test-race test-chaos test-lifecycle test-loss test-fuzz staticcheck bench bench-smoke bench-auth bench-detect bench-fine bench-render bench-service bench-online bench-lifecycle bench-loadgen bench-loss cover docs-check clean
 
 all: vet build test
 
@@ -9,6 +9,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Format gate (CI runs the same check): fails listing every Go file that
+# differs from gofmt output.
+fmt-check:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -109,8 +117,9 @@ bench-lifecycle:
 	$(GO) test -run '^$$' -bench 'BenchmarkAuthentication$$|BenchmarkOnline' -benchmem -count=3 -benchtime 10x .
 
 # The multi-core load-harness scaling grid: piano-loadgen drives closed-loop
-# saturation workloads across GOMAXPROCS × concurrency × {sharded, unsharded}
-# × {batch, stream} and records BENCH_loadgen.json (PERFORMANCE.md "PR 9").
+# saturation workloads across GOMAXPROCS × concurrency × {batch, stream} and
+# records BENCH_loadgen.json (analysis in PERFORMANCE.md). The committed file
+# is the older 1-core record, which still has the since-removed shard column.
 bench-loadgen:
 	$(GO) run ./cmd/piano-loadgen -grid -json BENCH_loadgen.json
 

@@ -24,10 +24,9 @@
 // watchdog), with chunks delivered flat-out — the chunking stresses the
 // incremental scan path without slaving the run to audio real time.
 //
-// -shards exercises the service's sharded worker groups
-// (ServiceConfig.ShardCount); -grid ignores the single-run flags and
-// records the full scaling matrix — GOMAXPROCS × concurrency × {sharded,
-// unsharded} × {batch, stream} — as the BENCH_loadgen.json report.
+// -grid ignores the single-run flags and records the full scaling matrix —
+// GOMAXPROCS × concurrency × {batch, stream} — as the BENCH_loadgen.json
+// report.
 package main
 
 import (
@@ -69,7 +68,6 @@ type opts struct {
 
 	// Service sizing.
 	workers     int
-	shards      int
 	maxSessions int
 	queueDepth  int
 	queueWait   time.Duration
@@ -159,7 +157,6 @@ type Summary struct {
 	Loop           string         `json:"loop"` // "closed" | "open"
 	GOMAXPROCS     int            `json:"gomaxprocs"`
 	Workers        int            `json:"workers"`
-	Shards         int            `json:"shards"`
 	Concurrency    int            `json:"concurrency,omitempty"`
 	OfferedRate    float64        `json:"offered_rate_per_sec,omitempty"`
 	Sessions       int            `json:"sessions"`
@@ -454,7 +451,6 @@ func summarize(outcomes []outcome, wall time.Duration, o opts) Summary {
 		Loop:        "closed",
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Workers:     o.workers,
-		Shards:      o.shards,
 		Concurrency: o.concurrency,
 		OfferedRate: o.rate,
 		Sessions:    len(outcomes),
@@ -507,8 +503,8 @@ func printSummary(w io.Writer, s Summary) {
 	} else {
 		fmt.Fprintf(w, "concurrency:       %8d workers\n", s.Concurrency)
 	}
-	fmt.Fprintf(w, "achieved:          %8.2f sessions/s over %.0f ms (GOMAXPROCS %d, %d workers, %d shards)\n",
-		s.SessionsPerSec, s.WallMS, s.GOMAXPROCS, s.Workers, s.Shards)
+	fmt.Fprintf(w, "achieved:          %8.2f sessions/s over %.0f ms (GOMAXPROCS %d, %d workers)\n",
+		s.SessionsPerSec, s.WallMS, s.GOMAXPROCS, s.Workers)
 	fmt.Fprintf(w, "decision latency:  p50 %.1f ms, p95 %.1f ms, p99 %.1f ms\n",
 		s.Latency.P50MS, s.Latency.P95MS, s.Latency.P99MS)
 	shed := 0
@@ -557,7 +553,6 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	fs.BoolVar(&o.retry, "retry", false, "retry ErrOverloaded sheds with the default RetryPolicy")
 	fs.Int64Var(&o.seed, "seed", 1, "run seed: per-session request seeds, arrival schedules, retry jitter")
 	fs.IntVar(&o.workers, "workers", 0, "detect worker pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&o.shards, "shards", 0, "worker-group shard count (0 = one shard)")
 	fs.IntVar(&o.maxSessions, "max-sessions", 0, "concurrent-session bound (0 = 4 × workers)")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "admission queue depth bound (0 = unbounded)")
 	fs.DurationVar(&o.queueWait, "queue-wait", 0, "admission queue wait bound (0 = unbounded)")
@@ -571,7 +566,7 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	fs.Float64Var(&o.reorder, "reorder", 0, "per-frame reorder probability over the lossy wire (with -stream)")
 	fs.Float64Var(&o.corrupt, "corrupt", 0, "per-frame corruption probability over the lossy wire (with -stream)")
 	jsonPath := fs.String("json", "", "write the machine-readable summary to this path (\"-\" = stdout)")
-	grid := fs.Bool("grid", false, "record the scaling grid (GOMAXPROCS × concurrency × shards × mode) instead of one run")
+	grid := fs.Bool("grid", false, "record the scaling grid (GOMAXPROCS × concurrency × mode) instead of one run")
 	gomaxprocs := fs.Int("gomaxprocs", 0, "set GOMAXPROCS for the run (0 = leave)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -610,7 +605,6 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 
 	cfg := piano.DefaultServiceConfig()
 	cfg.Workers = o.workers
-	cfg.ShardCount = o.shards
 	cfg.MaxSessions = o.maxSessions
 	cfg.MaxQueueDepth = o.queueDepth
 	cfg.MaxQueueWait = o.queueWait
@@ -620,7 +614,6 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 		return err
 	}
 	defer svc.Close()
-	o.shards = svc.Shards()
 	if o.workers == 0 {
 		o.workers = runtime.GOMAXPROCS(0)
 	}
@@ -632,8 +625,8 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	if o.rate > 0 {
 		loop = fmt.Sprintf("open @ %g/s", o.rate)
 	}
-	fmt.Fprintf(w, "piano-loadgen: %d %s sessions, %s loop, GOMAXPROCS %d, %d workers, %d shards\n",
-		o.sessions, mode, loop, runtime.GOMAXPROCS(0), o.workers, o.shards)
+	fmt.Fprintf(w, "piano-loadgen: %d %s sessions, %s loop, GOMAXPROCS %d, %d workers\n",
+		o.sessions, mode, loop, runtime.GOMAXPROCS(0), o.workers)
 
 	s := runLoad(ctx, svc, workload(o.sessions, o.seed), o)
 	printSummary(w, s)

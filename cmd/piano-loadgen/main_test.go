@@ -168,11 +168,12 @@ func TestRunStreamWithAbandons(t *testing.T) {
 	}
 }
 
-// TestRunGridJSON shrinks the grid to a 1-core batch column and checks the
-// recorded report shape end to end.
+// TestRunGridJSON shrinks the grid to a 1-core batch column at two
+// concurrencies and checks the recorded report shape end to end: one cell
+// per (cores, concurrency, mode).
 func TestRunGridJSON(t *testing.T) {
 	oldCores, oldConc, oldModes, oldReps := gridCores, gridConcurrency, gridModes, gridReps
-	gridCores, gridConcurrency, gridModes, gridReps = []int{1}, []int{2}, []string{"batch"}, 1
+	gridCores, gridConcurrency, gridModes, gridReps = []int{1}, []int{1, 2}, []string{"batch"}, 1
 	defer func() { gridCores, gridConcurrency, gridModes, gridReps = oldCores, oldConc, oldModes, oldReps }()
 
 	path := t.TempDir() + "/grid.json"
@@ -188,16 +189,16 @@ func TestRunGridJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("grid JSON did not parse: %v", err)
 	}
-	if len(rep.Cells) != 2 { // shards 0 and gridShards
-		t.Fatalf("grid recorded %d cells, want 2", len(rep.Cells))
+	if len(rep.Cells) != len(gridConcurrency) {
+		t.Fatalf("grid recorded %d cells, want %d", len(rep.Cells), len(gridConcurrency))
 	}
 	for i, c := range rep.Cells {
 		if c.Completed != c.Sessions || c.SessionsPerSec <= 0 || c.Latency.P50MS <= 0 {
 			t.Fatalf("cell %d implausible: %+v", i, c)
 		}
-	}
-	if rep.Cells[0].Shards == rep.Cells[1].Shards {
-		t.Fatalf("grid cells did not alternate shard layouts: %+v", rep.Cells)
+		if c.GOMAXPROCS != 1 || c.Mode != "batch" || c.Concurrency != gridConcurrency[i] {
+			t.Fatalf("cell %d is not (1 core, concurrency %d, batch): %+v", i, gridConcurrency[i], c)
+		}
 	}
 	if rep.Machine.Cores <= 0 || rep.Description == "" {
 		t.Fatalf("report metadata incomplete: %+v", rep.Machine)

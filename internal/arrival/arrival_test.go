@@ -137,7 +137,7 @@ func TestArrivalUnderrunShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	ev := src.Next(0, 1 << 30)
+	ev := src.Next(0, 1<<30)
 	if ev.Kind != Underrun {
 		t.Fatalf("kind = %v, want underrun", ev.Kind)
 	}

@@ -109,9 +109,9 @@ func Wire(cfg Config, wire WireConfig, seed int64, total int) ([]WireEvent, erro
 	// even key 2i; a reordered frame lands at an odd key past its drawn
 	// landing slot, so it arrives after every in-order frame up to there.
 	type slot struct {
-		ev   WireEvent
-		key  int
-		tie  int
+		ev  WireEvent
+		key int
+		tie int
 	}
 	var slots []slot
 	emit := func(ev WireEvent, key int) {

@@ -87,7 +87,7 @@ func TestHopGridWindowsOverlapping(t *testing.T) {
 			{g.WindowStart(5), g.NeedFor(7)},                    // exact multi-window span
 			{g.NeedFor(g.Count - 1), g.NeedFor(g.Count-1) + 50}, // past the grid
 			{-20, 1},
-			{15, 15}, // empty
+			{15, 15},                        // empty
 			{0, g.NeedFor(g.Count-1) + 100}, // everything
 		}
 		for _, sp := range spans {

@@ -25,7 +25,8 @@
 //
 // Invariants: *Into methods write into caller-owned scratch and allocate
 // nothing on the hot path; plan methods are safe for concurrent use but
-// workspaces are not (one per goroutine); naive reference implementations
-// (CrossCorrelateNaive) are kept as test oracles for every optimized path,
-// agreeing to floating-point rounding rather than bit-exactly.
+// workspaces are not (one per goroutine); the naive reference
+// implementations (DFTNaive, CrossCorrelateNaive) live in the package
+// tests as oracles for every optimized path, agreeing to floating-point
+// rounding rather than bit-exactly.
 package dsp

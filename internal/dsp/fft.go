@@ -97,23 +97,6 @@ func FFTReal(x []float64) ([]complex128, error) {
 	return buf, nil
 }
 
-// DFTNaive computes the discrete Fourier transform directly in O(n²) time.
-// It exists as a reference implementation for testing the FFT and is not
-// used on any hot path.
-func DFTNaive(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += x[t] * complex(math.Cos(angle), math.Sin(angle))
-		}
-		out[k] = sum
-	}
-	return out
-}
-
 // NextPowerOfTwo returns the smallest power of two >= n (and 1 for n <= 0).
 func NextPowerOfTwo(n int) int {
 	if n <= 1 {

@@ -195,3 +195,20 @@ func BenchmarkFFT4096(b *testing.B) {
 		}
 	}
 }
+
+// DFTNaive computes the discrete Fourier transform directly in O(n²) time.
+// It exists as a reference implementation for testing the FFT and is not
+// used on any hot path.
+func DFTNaive(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for t := 0; t < n; t++ {
+			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			sum += x[t] * complex(math.Cos(angle), math.Sin(angle))
+		}
+		out[k] = sum
+	}
+	return out
+}

@@ -17,8 +17,8 @@ import (
 // The sliding dot products are evaluated with an FFT overlap-save scheme in
 // O((n+m)·log m) instead of the naive O(n·m) inner loop, which is what kept
 // the ACTION-CC baseline ~two orders of magnitude slower than PIANO in the
-// benchmark suite. CrossCorrelateNaive retains the direct evaluation as a
-// test oracle. Results agree with the oracle to floating-point rounding
+// benchmark suite. CrossCorrelateNaive (xcorr_test.go) retains the direct
+// evaluation as a test oracle. Results agree with the oracle to floating-point rounding
 // (~1e-12 relative), not bit-exactly.
 func CrossCorrelate(x, ref []float64) ([]float64, error) {
 	if len(ref) == 0 {
@@ -30,28 +30,6 @@ func CrossCorrelate(x, ref []float64) ([]float64, error) {
 	dots, err := slidingDotsFFT(x, ref)
 	if err != nil {
 		return nil, err
-	}
-	return normalizeSlidingDots(dots, x, ref), nil
-}
-
-// CrossCorrelateNaive is the direct O(n·m) evaluation of CrossCorrelate,
-// kept as the reference implementation for testing the FFT path. Both
-// functions share the same normalization.
-func CrossCorrelateNaive(x, ref []float64) ([]float64, error) {
-	if len(ref) == 0 {
-		return nil, fmt.Errorf("dsp: cross-correlate: empty reference")
-	}
-	if len(x) < len(ref) {
-		return nil, fmt.Errorf("dsp: cross-correlate: sequence (%d) shorter than reference (%d)", len(x), len(ref))
-	}
-	n := len(x) - len(ref) + 1
-	dots := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var dot float64
-		for j, r := range ref {
-			dot += x[i+j] * r
-		}
-		dots[i] = dot
 	}
 	return normalizeSlidingDots(dots, x, ref), nil
 }

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -221,4 +222,26 @@ func TestHannWindow(t *testing.T) {
 	if x[0] != 1 || x[2] != 2 {
 		t.Fatalf("ApplyWindow result %v", x)
 	}
+}
+
+// CrossCorrelateNaive is the direct O(n·m) evaluation of CrossCorrelate,
+// kept as the reference implementation for testing the FFT path. Both
+// functions share the same normalization.
+func CrossCorrelateNaive(x, ref []float64) ([]float64, error) {
+	if len(ref) == 0 {
+		return nil, fmt.Errorf("dsp: cross-correlate: empty reference")
+	}
+	if len(x) < len(ref) {
+		return nil, fmt.Errorf("dsp: cross-correlate: sequence (%d) shorter than reference (%d)", len(x), len(ref))
+	}
+	n := len(x) - len(ref) + 1
+	dots := make([]float64, n)
+	for i := 0; i < n; i++ {
+		var dot float64
+		for j, r := range ref {
+			dot += x[i+j] * r
+		}
+		dots[i] = dot
+	}
+	return normalizeSlidingDots(dots, x, ref), nil
 }

@@ -131,10 +131,12 @@ func (r *Reassembler) Add(f Frame, now time.Time) (dv []Delivery, fresh bool, er
 		r.stats.Corrupt++
 		return nil, false, err
 	}
-	if f.Offset < 0 || f.Offset+len(f.PCM) > r.total {
+	// Compared without forming Offset+len, which overflows for an offset
+	// near math.MaxInt and would pass the frame on as a duplicate.
+	if f.Offset < 0 || f.Offset > r.total-len(f.PCM) {
 		r.stats.Rejected++
-		return nil, false, fmt.Errorf("%w: [%d, %d) against declared length %d",
-			ErrRange, f.Offset, f.Offset+len(f.PCM), r.total)
+		return nil, false, fmt.Errorf("%w: %d samples at offset %d against declared length %d",
+			ErrRange, len(f.PCM), f.Offset, r.total)
 	}
 	lo, hi := f.Offset, f.Offset+len(f.PCM)
 	if lo < r.next {

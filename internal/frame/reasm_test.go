@@ -2,6 +2,7 @@ package frame
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -202,7 +203,8 @@ func TestReassemblerDupAndOverlap(t *testing.T) {
 }
 
 // TestReassemblerRejectsTyped: corrupt and out-of-range frames are
-// rejected typed with no state change.
+// rejected typed with no state change — including an offset so large that
+// offset+length overflows int.
 func TestReassemblerRejectsTyped(t *testing.T) {
 	r, err := NewReassembler(100, 0)
 	if err != nil {
@@ -219,11 +221,14 @@ func TestReassemblerRejectsTyped(t *testing.T) {
 	if _, _, err := r.Add(New(3, -1, []int16{1}), time.Time{}); !errors.Is(err, ErrRange) {
 		t.Fatalf("negative-offset frame: %v", err)
 	}
+	if dv, fresh, err := r.Add(New(4, math.MaxInt-5, make([]int16, 10)), time.Time{}); !errors.Is(err, ErrRange) || dv != nil || fresh {
+		t.Fatalf("overflowing-offset frame: deliveries %v, fresh %v, err %v", dv, fresh, err)
+	}
 	if r.Next() != 0 || r.Pending() != 0 {
 		t.Fatalf("rejected frames mutated state: next=%d pending=%d", r.Next(), r.Pending())
 	}
 	st := r.Stats()
-	if st.Corrupt != 1 || st.Rejected != 2 {
+	if st.Corrupt != 1 || st.Rejected != 3 || st.Dups != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }

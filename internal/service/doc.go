@@ -60,14 +60,12 @@
 // sessions, and the watchdog chaos tests race sweeps against Close under
 // fault injection (the service.watchdog site).
 //
-// Sharded worker groups (PR 9): with Config.ShardCount > 1 the detection
-// machinery above — pool, detector workspace freelist, plan set — is
-// replicated into independent shards, and each admitted session is pinned
-// to one shard round-robin, so concurrent sessions stop contending on a
-// single scan queue and freelist. Workers stays the TOTAL budget, spread
-// across shards with a floor of one each; admission control (MaxSessions,
-// queue bounds) remains global. Because every shard is built from the same
-// Config and a session's decision is a pure function of (request, seed),
-// shard assignment cannot influence results: TestShardDeterminism pins
-// bit-identity across ShardCount 0/1/2/4 × GOMAXPROCS 1/2/4/8 under -race.
+// One detection engine: every session scans through the same pool and
+// detector; the service never replicates them. Replicated per-worker-group
+// engines measured no faster than one on 2 vCPUs (PERFORMANCE.md, "one
+// detection engine per service").
+// New rejects negative Workers, MaxSessions and MaxQueueDepth with
+// ErrConfig instead of reading them as defaults or "unbounded".
+// TestServiceSeedSweepAcrossGOMAXPROCS pins serial, concurrent and
+// streamed sessions bit-identical across GOMAXPROCS 1/2/4/8 under -race.
 package service

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,10 +60,12 @@ func assertNoLeak(t *testing.T, svc *AuthService) {
 	}
 }
 
-// TestLifecycleConfigValidation: negative durations are configuration bugs,
-// not "unbounded". A negative MaxQueueWait used to silently disable the
-// queue-wait bound (the > 0 check never armed the timer) — this is its
-// regression test, extended to the two new lifecycle knobs.
+// TestLifecycleConfigValidation: negative durations and counts are
+// configuration bugs, not "unbounded" or "default". A negative
+// MaxQueueWait or MaxQueueDepth used to silently disable its bound (the
+// > 0 checks never armed it) and a negative Workers or MaxSessions fell
+// back to its default — this is their regression test, extended to the
+// lifecycle knobs. Each is a typed ErrConfig naming the field.
 func TestLifecycleConfigValidation(t *testing.T) {
 	base := func() Config {
 		return Config{Core: core.DefaultConfig(), Workers: 1}
@@ -71,6 +74,9 @@ func TestLifecycleConfigValidation(t *testing.T) {
 		"MaxQueueWait":       func(c *Config) { c.MaxQueueWait = -time.Second },
 		"SessionIdleTimeout": func(c *Config) { c.SessionIdleTimeout = -time.Millisecond },
 		"SessionMaxLifetime": func(c *Config) { c.SessionMaxLifetime = -time.Hour },
+		"Workers":            func(c *Config) { c.Workers = -1 },
+		"MaxSessions":        func(c *Config) { c.MaxSessions = -4 },
+		"MaxQueueDepth":      func(c *Config) { c.MaxQueueDepth = -1 },
 	}
 	for name, mutate := range mutations {
 		cfg := base()
@@ -80,8 +86,8 @@ func TestLifecycleConfigValidation(t *testing.T) {
 			svc.Close()
 			t.Fatalf("negative %s accepted", name)
 		}
-		if !errors.Is(err, ErrConfig) {
-			t.Fatalf("negative %s rejected with untyped error %v, want ErrConfig", name, err)
+		if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("negative %s rejected with %v, want ErrConfig naming the field", name, err)
 		}
 	}
 	// The zero values still mean "legacy unbounded" and must keep working.

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/acoustic-auth/piano/internal/acoustic"
@@ -17,6 +16,7 @@ import (
 	"github.com/acoustic-auth/piano/internal/core"
 	"github.com/acoustic-auth/piano/internal/detect"
 	"github.com/acoustic-auth/piano/internal/device"
+	"github.com/acoustic-auth/piano/internal/dsp"
 	"github.com/acoustic-auth/piano/internal/faultinject"
 )
 
@@ -66,12 +66,14 @@ type Config struct {
 	// for the service lifetime so the shared detector matches every
 	// session.
 	Core core.Config
-	// Workers sizes the shared detect worker pool (≤ 0 → GOMAXPROCS).
+	// Workers sizes the shared detect worker pool (0 → GOMAXPROCS;
+	// negative values are rejected with ErrConfig).
 	Workers int
 	// MaxSessions bounds the number of concurrently running sessions
-	// (≤ 0 → 4 × Workers). Excess Authenticate calls wait for a slot,
-	// which keeps memory and goroutine counts flat under burst load; how
-	// long they may wait is governed by MaxQueueWait/MaxQueueDepth.
+	// (0 → 4 × Workers; negative values are rejected with ErrConfig).
+	// Excess Authenticate calls wait for a slot, which keeps memory and
+	// goroutine counts flat under burst load; how long they may wait is
+	// governed by MaxQueueWait/MaxQueueDepth.
 	MaxSessions int
 	// MaxQueueWait bounds how long a request may wait for a session slot
 	// once all MaxSessions are busy; past it the request is shed with
@@ -82,7 +84,8 @@ type Config struct {
 	// MaxQueueDepth bounds how many requests may wait for a slot at once;
 	// a request arriving at a full queue is shed immediately with
 	// ErrOverloaded (SEDA-style admission control: bounded queue, bounded
-	// wait, load shedding beyond both). 0 means unbounded.
+	// wait, load shedding beyond both). 0 means unbounded; negative values
+	// are rejected with ErrConfig.
 	MaxQueueDepth int
 	// SessionIdleTimeout bounds the gap between successful Feed calls on a
 	// streaming session (the open→first-Feed gap counts too). A session
@@ -103,21 +106,6 @@ type Config struct {
 	// second is making "progress" the idle bound never sees — this bound
 	// caps the total slot-hold time. 0 disables it.
 	SessionMaxLifetime time.Duration
-	// ShardCount splits the detection machinery — the worker pool, the
-	// detector with its pooled scan workspaces, and the pinned FFT plan
-	// set — into that many independent per-worker-group shards. Sessions
-	// are pinned to one shard at admission (round-robin), so concurrent
-	// sessions on different shards stop contending on a single pool's task
-	// queue and a single workspace freelist. 0 (the default) and 1 both
-	// mean one shard — the legacy layout. Workers stays the TOTAL worker
-	// budget: it is distributed across shards as evenly as possible, with
-	// at least one worker per shard. Sharding never changes results: every
-	// shard is built from the same Config, and a session's decision is a
-	// pure function of its request and seed (see the determinism contract),
-	// so results are bit-identical at any ShardCount. Negative values are
-	// rejected with ErrConfig.
-	ShardCount int
-
 	// ReorderWindow bounds, in samples, how far ahead of the in-order
 	// delivery frontier a framed session (FeedFrame) buffers out-of-order
 	// audio per role. Once buffered data runs past it, the oldest gap is
@@ -169,11 +157,11 @@ type Request struct {
 // sharing one detect worker pool and one pinned FFT plan set.
 type AuthService struct {
 	cfg Config
-	// shards are the per-worker-group detection machinery (pool, detector,
-	// plan set); always at least one. nextShard drives the round-robin
-	// session pinning (see shard.go).
-	shards    []*shard
-	nextShard atomic.Uint64
+	// The one detection engine every session scans through: a bounded
+	// worker pool and a detector (with its pooled scan workspaces and
+	// pinned FFT plan set) attached to it.
+	pool *detect.Pool
+	det  *detect.Detector
 
 	sem      chan struct{} // session slots
 	draining chan struct{} // closed when Close begins: sheds queued waiters
@@ -190,9 +178,10 @@ type AuthService struct {
 	streams  map[*Session]struct{} // open streaming sessions (force-resolved on Close)
 }
 
-// New validates cfg and builds the service: each shard's worker pool is
-// started, its FFT plan for the configured window length is built and
-// pinned, and its detector is attached to both — with every workspace
+// New validates cfg and builds the service's one detection engine: the
+// worker pool is started, the FFT plan for the configured window length is
+// built and pinned, and the detector is attached to both — with every
+// workspace
 // prewarmed (the full-length spectrum buffers, the packed FFT scratch, and,
 // when the configured steps stream, the sliding-DFT state and its rotation
 // table), so steady-state sessions run the band-limited engine
@@ -204,23 +193,32 @@ func New(cfg Config) (*AuthService, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	if cfg.Workers <= 0 {
+	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.MaxSessions <= 0 {
+	if cfg.MaxSessions == 0 {
 		cfg.MaxSessions = 4 * cfg.Workers
 	}
-	shardCount := cfg.ShardCount
-	if shardCount < 1 {
-		shardCount = 1
-	}
-	shards, err := buildShards(cfg, shardCount, cfg.Workers)
+	plans, err := dsp.NewPlanSet(cfg.Core.Signal.Length)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	det, err := detect.New(cfg.Core.Detect)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	pool := detect.NewPool(cfg.Workers)
+	det.UsePool(pool)
+	det.UsePlans(plans)
+	// One workspace per worker plus one for the submitting goroutine.
+	if err := det.Prewarm(cfg.Core.Signal, cfg.Workers+1); err != nil {
+		pool.Close()
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	s := &AuthService{
 		cfg:      cfg,
-		shards:   shards,
+		pool:     pool,
+		det:      det,
 		sem:      make(chan struct{}, cfg.MaxSessions),
 		draining: make(chan struct{}),
 		streams:  make(map[*Session]struct{}),
@@ -406,10 +404,7 @@ func (s *AuthService) AuthenticateContext(ctx context.Context, req Request) (*co
 	}
 	defer s.end()
 
-	// Pinned at admission: everything this session scans goes through one
-	// shard's pool, workspaces, and plans.
-	sh := s.pin()
-	res, err := s.runSession(ctx, req, sh)
+	res, err := s.runSession(ctx, req)
 	if err != nil {
 		// Panics recovered inside the scan engine arrive as
 		// *detect.PanicError; fold them into the service's typed internal
@@ -419,7 +414,7 @@ func (s *AuthService) AuthenticateContext(ctx context.Context, req Request) (*co
 			err = &InternalError{Panic: pe.Value, Stack: pe.Stack}
 		}
 		if errors.Is(err, ErrInternal) {
-			sh.replenish(s.cfg)
+			s.replenish()
 		}
 		return nil, err
 	}
@@ -434,7 +429,7 @@ func (s *AuthService) AuthenticateContext(ctx context.Context, req Request) (*co
 // (world render, protocol plumbing, an injected fault) is recovered into a
 // typed *InternalError instead of crashing the process, and the shared
 // detector/pool stay serviceable.
-func (s *AuthService) runSession(ctx context.Context, req Request, sh *shard) (res *core.Result, err error) {
+func (s *AuthService) runSession(ctx context.Context, req Request) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &InternalError{Panic: r, Stack: debug.Stack()}
@@ -446,7 +441,7 @@ func (s *AuthService) runSession(ctx context.Context, req Request, sh *shard) (r
 		return nil, err
 	}
 
-	a, plays, err := s.buildSession(req, sh)
+	a, plays, err := s.buildSession(req)
 	if err != nil {
 		return nil, err
 	}
@@ -465,10 +460,10 @@ func (s *AuthService) runSession(ctx context.Context, req Request, sh *shard) (r
 }
 
 // buildSession constructs one session's devices, interferers, seeded RNG,
-// and authenticator (with the pinned shard's detector attached) from a
+// and authenticator (with the service's detector attached) from a
 // request — the part of the pipeline common to the batch path (runSession)
 // and the streaming path (OpenSession), so both build sessions identically.
-func (s *AuthService) buildSession(req Request, sh *shard) (*core.Authenticator, []core.ExtraPlay, error) {
+func (s *AuthService) buildSession(req Request) (*core.Authenticator, []core.ExtraPlay, error) {
 	cfg := s.sessionConfig(req)
 
 	// Shared with piano.NewDeployment (device.NewSessionDevice) so service
@@ -512,7 +507,7 @@ func (s *AuthService) buildSession(req Request, sh *shard) (*core.Authenticator,
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: %w", err)
 	}
-	a.UseDetector(sh.det)
+	a.UseDetector(s.det)
 
 	var plays []core.ExtraPlay
 	if len(interferers) > 0 {
@@ -558,7 +553,13 @@ func (s *AuthService) Close() {
 	if s.watchdogDone != nil {
 		<-s.watchdogDone
 	}
-	for _, sh := range s.shards {
-		sh.pool.Close()
-	}
+	s.pool.Close()
+}
+
+// replenish rebuilds one prewarmed scan workspace after a panic poisoned
+// and discarded one, restoring the steady-state "no cold-start
+// allocations" property chaos would otherwise erode. Best-effort: if it
+// fails, the next scan simply rebuilds its own scratch on checkout.
+func (s *AuthService) replenish() {
+	_ = s.det.Prewarm(s.cfg.Core.Signal, 1)
 }

@@ -80,9 +80,10 @@ func TestServiceOverrides(t *testing.T) {
 	}
 }
 
-// TestServiceWorkerCountInvariant: the same request must decide
-// bit-identically no matter how the pool is sized — the scan reduction is
-// in window order, so worker scheduling can never leak into results.
+// TestServiceWorkerCountInvariant: the service's one pool has exactly
+// Workers workers, and the same request must decide bit-identically no
+// matter how the pool is sized — the scan reduction is in window order, so
+// worker scheduling can never leak into results.
 func TestServiceWorkerCountInvariant(t *testing.T) {
 	reqs := []Request{
 		pairRequest(0.4, 11),
@@ -95,6 +96,11 @@ func TestServiceWorkerCountInvariant(t *testing.T) {
 	defer one.Close()
 	four := newService(t, 4)
 	defer four.Close()
+	for want, svc := range map[int]*AuthService{1: one, 4: four} {
+		if got := svc.pool.Workers(); got != want {
+			t.Fatalf("Workers %d built a pool of %d workers", want, got)
+		}
+	}
 	for i, req := range reqs {
 		a, err := one.Authenticate(req)
 		if err != nil {

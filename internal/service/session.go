@@ -61,11 +61,7 @@ var (
 // exactly once. The methods are safe for concurrent use; the intended shape
 // is one feeder goroutine per role.
 type Session struct {
-	svc *AuthService
-	// shard is the worker group this session was pinned to at admission:
-	// every scan its feeds trigger runs on this shard's pool and
-	// workspaces, and a panic in its feed path replenishes this shard.
-	shard  *shard
+	svc    *AuthService
 	as     *core.AuthStream
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -125,15 +121,14 @@ func (s *AuthService) OpenSession(ctx context.Context, req Request) (*Session, e
 	if err := s.begin(ctx); err != nil {
 		return nil, err
 	}
-	sh := s.pin()
-	sess, err := s.openStream(ctx, req, sh)
+	sess, err := s.openStream(ctx, req)
 	if err != nil {
 		var pe *detect.PanicError
 		if errors.As(err, &pe) {
 			err = &InternalError{Panic: pe.Value, Stack: pe.Stack}
 		}
 		if errors.Is(err, ErrInternal) {
-			sh.replenish(s.cfg)
+			s.replenish()
 		}
 		s.end()
 		return nil, err
@@ -143,7 +138,7 @@ func (s *AuthService) OpenSession(ctx context.Context, req Request) (*Session, e
 
 // openStream builds and registers the session once a slot is held. Panic
 // isolation for the open phase (device build, scene render) lives here.
-func (s *AuthService) openStream(ctx context.Context, req Request, sh *shard) (sess *Session, err error) {
+func (s *AuthService) openStream(ctx context.Context, req Request) (sess *Session, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sess, err = nil, &InternalError{Panic: r, Stack: debug.Stack()}
@@ -153,7 +148,7 @@ func (s *AuthService) openStream(ctx context.Context, req Request, sh *shard) (s
 	if err := faultinject.Fire(faultinject.SiteServiceSession); err != nil {
 		return nil, err
 	}
-	a, plays, err := s.buildSession(req, sh)
+	a, plays, err := s.buildSession(req)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +164,7 @@ func (s *AuthService) openStream(ctx context.Context, req Request, sh *shard) (s
 		}
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	sess = &Session{svc: s, shard: sh, as: as, ctx: sctx, cancel: cancel, opened: time.Now()}
+	sess = &Session{svc: s, as: as, ctx: sctx, cancel: cancel, opened: time.Now()}
 	sess.lastFeed.Store(sess.opened.UnixNano())
 	// Register under the service lock, re-checking closed: a Close racing
 	// this open may already have swept the streams map, and a session
@@ -240,7 +235,7 @@ func (sn *Session) fail(err error) error {
 	var pe *detect.PanicError
 	if errors.As(err, &pe) {
 		ie := &InternalError{Panic: pe.Value, Stack: pe.Stack}
-		sn.shard.replenish(sn.svc.cfg)
+		sn.svc.replenish()
 		sn.resolve(nil, ie)
 		return ie
 	}
@@ -291,7 +286,7 @@ func (sn *Session) Feed(role core.Role, pcm []int16) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ie := &InternalError{Panic: r, Stack: debug.Stack()}
-			sn.shard.replenish(sn.svc.cfg)
+			sn.svc.replenish()
 			sn.resolve(nil, ie)
 			err = ie
 		}
@@ -357,7 +352,7 @@ func (sn *Session) FeedFrame(role core.Role, f frame.Frame) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ie := &InternalError{Panic: r, Stack: debug.Stack()}
-			sn.shard.replenish(sn.svc.cfg)
+			sn.svc.replenish()
 			sn.resolve(nil, ie)
 			err = ie
 		}
@@ -450,7 +445,7 @@ func (sn *Session) FinishFeed(role core.Role) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ie := &InternalError{Panic: r, Stack: debug.Stack()}
-			sn.shard.replenish(sn.svc.cfg)
+			sn.svc.replenish()
 			sn.resolve(nil, ie)
 			err = ie
 		}
@@ -506,7 +501,7 @@ func (sn *Session) expireGaps(now time.Time, timeout time.Duration) {
 	defer func() {
 		if r := recover(); r != nil {
 			ie := &InternalError{Panic: r, Stack: debug.Stack()}
-			sn.shard.replenish(sn.svc.cfg)
+			sn.svc.replenish()
 			sn.resolve(nil, ie)
 		}
 	}()
@@ -545,7 +540,7 @@ func (sn *Session) TryResult() (res *core.Result, need int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ie := &InternalError{Panic: r, Stack: debug.Stack()}
-			sn.shard.replenish(sn.svc.cfg)
+			sn.svc.replenish()
 			sn.resolve(nil, ie)
 			res, need, err = nil, 0, ie
 		}

@@ -36,9 +36,10 @@ var (
 var ErrConfig = errors.New("service: invalid config")
 
 // validateConfig rejects configuration values that would otherwise be
-// silently misread. Negative durations are the regression this guards: a
-// negative MaxQueueWait used to be treated as "unbounded" (the > 0 check
-// simply never armed the timer), which inverts the caller's intent.
+// silently misread. Negative values are the regression this guards: a
+// negative MaxQueueWait or MaxQueueDepth used to be treated as "unbounded"
+// (the > 0 checks never armed the bound), which inverts the caller's
+// intent, and a negative Workers or MaxSessions fell back to its default.
 func validateConfig(cfg Config) error {
 	for _, d := range []struct {
 		name string
@@ -53,11 +54,18 @@ func validateConfig(cfg Config) error {
 			return fmt.Errorf("%w: %s %v is negative (0 disables the bound)", ErrConfig, d.name, d.v)
 		}
 	}
-	if cfg.ShardCount < 0 {
-		return fmt.Errorf("%w: ShardCount %d is negative (0 means one shard)", ErrConfig, cfg.ShardCount)
-	}
-	if cfg.ReorderWindow < 0 {
-		return fmt.Errorf("%w: ReorderWindow %d is negative (0 means the default window)", ErrConfig, cfg.ReorderWindow)
+	for _, n := range []struct {
+		name, zero string
+		v          int
+	}{
+		{"Workers", "GOMAXPROCS", cfg.Workers},
+		{"MaxSessions", "4 × Workers", cfg.MaxSessions},
+		{"MaxQueueDepth", "an unbounded queue", cfg.MaxQueueDepth},
+		{"ReorderWindow", "the default window", cfg.ReorderWindow},
+	} {
+		if n.v < 0 {
+			return fmt.Errorf("%w: %s %d is negative (0 means %s)", ErrConfig, n.name, n.v, n.zero)
+		}
 	}
 	return nil
 }

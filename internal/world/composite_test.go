@@ -9,6 +9,7 @@ import (
 
 	"github.com/acoustic-auth/piano/internal/acoustic"
 	"github.com/acoustic-auth/piano/internal/audio"
+	"github.com/acoustic-auth/piano/internal/device"
 	"github.com/acoustic-auth/piano/internal/dsp"
 )
 
@@ -258,4 +259,51 @@ func TestRenderDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mixNaive is the historical per-tap mixing loop: one gain-folded
+// windowed-sinc mix per impulse-response tap. Kept as the composite kernel's
+// test oracle (the CrossCorrelateNaive pattern): it consumes the same
+// pre-drawn renderJob, so a seeded scene rendered through RenderNaive is the
+// tap-by-tap ground truth the composite path must match to ~1e-9 relative.
+func (w *World) mixNaive(job *renderJob) *audio.Buffer {
+	return &audio.Buffer{SampleRate: job.dst.SampleRate(), Samples: audio.FromFloat(w.mixNaiveFloat(job))}
+}
+
+// mixNaiveFloat is mixNaive before int16 quantization (see mixFloat).
+func (w *World) mixNaiveFloat(job *renderJob) []float64 {
+	acc := make([]float64, job.n)
+	var allpass acoustic.AllpassWorkspace
+
+	for pi, play := range w.plays {
+		path := job.paths[pi]
+		dispersed := allpass.Apply(play.samples, path.AllpassCoeffs)
+		for _, tap := range path.Taps {
+			delaySec := (path.BaseDelaySamples + tap.DelaySamples) / w.cfg.SampleRate
+			arrival := job.dst.Clock().SampleAt(play.startSec + delaySec)
+			audio.MixFloatSincGain(acc, dispersed, arrival, tap.Gain)
+		}
+	}
+
+	for i := range acc {
+		acc[i] += job.noise[i]
+	}
+	return acc
+}
+
+// RenderNaive is Render with the historical per-tap mixing loop instead of
+// the composite-kernel convolution. It exists as a test oracle and A/B
+// benchmark baseline only — it draws from the scene RNG exactly like Render
+// (so two worlds built with equal seeds, one rendered each way, see
+// identical channel realizations) and runs the mixing phase sequentially.
+func (w *World) RenderNaive() (map[*device.Device]*audio.Buffer, error) {
+	jobs, err := w.drawJobs()
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[*device.Device]*audio.Buffer, len(w.devices))
+	for di := range jobs {
+		out[jobs[di].dst] = w.mixNaive(&jobs[di])
+	}
+	return out, nil
 }

@@ -10,8 +10,9 @@
 // (channel paths, ambient noise), then the mixing phase runs each device on
 // a bounded worker pool, folding every path's taps into one composite
 // sparse FIR (acoustic.Path.CompositeKernel) applied by a single
-// audio.MixSparseFIR convolution per play. RenderNaive keeps the historical
-// per-tap loop as the parity oracle and A/B baseline.
+// audio.MixSparseFIR convolution per play. The historical per-tap loop
+// (RenderNaive) lives in the package tests as the parity oracle and A/B
+// baseline; it is not part of the package API.
 //
 // Invariants: a World belongs to one session, and a seeded scene renders
 // bit-identically at any GOMAXPROCS (the draw phase is serialized under the

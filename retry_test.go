@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,14 +217,27 @@ func TestRetryDeterministicBackoff(t *testing.T) {
 }
 
 // TestServiceLifecycleConfigSurfaces: the public ServiceConfig passes the
-// lifecycle knobs through — a negative bound is rejected with ErrConfig,
-// and an armed idle bound reaps an abandoned public streaming session with
-// the re-exported sentinels.
+// lifecycle and sizing knobs through — a negative bound or count is
+// rejected with ErrConfig naming the field (never read as a default or an
+// unbounded queue), and an armed idle bound reaps an abandoned public
+// streaming session with the re-exported sentinels.
 func TestServiceLifecycleConfigSurfaces(t *testing.T) {
-	bad := DefaultServiceConfig()
-	bad.SessionIdleTimeout = -time.Second
-	if _, err := NewService(bad); !errors.Is(err, ErrConfig) {
-		t.Fatalf("negative SessionIdleTimeout: got %v, want ErrConfig", err)
+	for field, mutate := range map[string]func(*ServiceConfig){
+		"SessionIdleTimeout": func(c *ServiceConfig) { c.SessionIdleTimeout = -time.Second },
+		"Workers":            func(c *ServiceConfig) { c.Workers = -2 },
+		"MaxSessions":        func(c *ServiceConfig) { c.MaxSessions = -1 },
+		"MaxQueueDepth":      func(c *ServiceConfig) { c.MaxQueueDepth = -3 },
+	} {
+		bad := DefaultServiceConfig()
+		mutate(&bad)
+		svc, err := NewService(bad)
+		if err == nil {
+			svc.Close()
+			t.Fatalf("negative %s accepted", field)
+		}
+		if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), field) {
+			t.Fatalf("negative %s: got %v, want ErrConfig naming the field", field, err)
+		}
 	}
 
 	cfg := DefaultServiceConfig()

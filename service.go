@@ -49,10 +49,12 @@ type ServiceConfig struct {
 	// ThresholdM is the default authentication threshold τ in meters
 	// (requests may override). Default: 1.0.
 	ThresholdM float64
-	// Workers sizes the shared detection worker pool. Default: GOMAXPROCS.
+	// Workers sizes the shared detection worker pool. Default (0):
+	// GOMAXPROCS; negative values are rejected with ErrConfig.
 	Workers int
 	// MaxSessions bounds how many sessions run concurrently; further
-	// Authenticate calls wait for a slot. Default: 4 × Workers.
+	// Authenticate calls wait for a slot. Default (0): 4 × Workers;
+	// negative values are rejected with ErrConfig.
 	MaxSessions int
 	// MaxQueueWait bounds how long a request may wait for a session slot
 	// before being shed with ErrOverloaded. Default (0): wait
@@ -60,7 +62,7 @@ type ServiceConfig struct {
 	MaxQueueWait time.Duration
 	// MaxQueueDepth bounds how many requests may queue for a slot at
 	// once; requests beyond it shed immediately with ErrOverloaded.
-	// Default (0): unbounded.
+	// Default (0): unbounded; negative values are rejected with ErrConfig.
 	MaxQueueDepth int
 	// SessionIdleTimeout bounds the gap between successful Feed calls on a
 	// streaming session (and between open and the first Feed). A session
@@ -75,15 +77,6 @@ type ServiceConfig struct {
 	// resolves the session ErrSessionExpired. Default (0): no lifetime
 	// bound; negative values are rejected with ErrConfig.
 	SessionMaxLifetime time.Duration
-	// ShardCount splits the service's detection machinery (worker pool,
-	// detector scratch, FFT plans) into independent per-worker-group
-	// shards; sessions are pinned to one shard at admission, so concurrent
-	// sessions stop contending on a single scan queue and workspace
-	// freelist — the multi-core scaling knob. Workers remains the TOTAL
-	// worker budget, spread across shards (at least one each). Decisions
-	// are bit-identical at any ShardCount. Default (0): one shard, the
-	// pre-sharding layout; negative values are rejected with ErrConfig.
-	ShardCount int
 	// ReorderWindow bounds, in samples, how far ahead of the in-order
 	// frontier a framed session (FeedFrame) buffers out-of-order audio
 	// per role; past it the oldest gap is declared lost instead of
@@ -156,7 +149,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		MaxQueueDepth:      cfg.MaxQueueDepth,
 		SessionIdleTimeout: cfg.SessionIdleTimeout,
 		SessionMaxLifetime: cfg.SessionMaxLifetime,
-		ShardCount:         cfg.ShardCount,
 		ReorderWindow:      cfg.ReorderWindow,
 		GapRepairTimeout:   cfg.GapRepairTimeout,
 	})
@@ -242,10 +234,6 @@ func convertRequest(req AuthRequest) (service.Request, error) {
 
 // Sessions returns the number of sessions the service has completed.
 func (s *Service) Sessions() uint64 { return s.svc.Sessions() }
-
-// Shards returns the number of worker-group shards the service runs (1
-// when ShardCount was left at the default).
-func (s *Service) Shards() int { return s.svc.ShardCount() }
 
 // Close drains in-flight sessions and releases the service's workers.
 // Subsequent Authenticate calls fail.
