@@ -368,6 +368,11 @@ func TestDetectAllPCMSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		return
 	}
+	// Measure on one P, as testing.AllocsPerRun does for the counts above:
+	// with more, the call's goroutine can migrate off the P whose private
+	// sync.Pool slot holds the warm workspace, miss it, and build a fresh
+	// ~120 KiB one — a pool miss, not a recording copy.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := detectPCM(det, recLong, b1, b2); err != nil {

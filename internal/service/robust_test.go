@@ -314,49 +314,86 @@ func TestServiceCloseShedsWaiters(t *testing.T) {
 }
 
 // TestServiceSeedSweepAcrossGOMAXPROCS: the determinism half of the PR-6
-// contract — a seed sweep must decide bit-identically (Float64bits on the
-// measured distance, plus the full session report) when the runtime is
-// given different parallelism budgets. Against a serial baseline at
-// GOMAXPROCS 1, every GOMAXPROCS in {1, 2, 4, 8} reruns the sweep three
-// ways: one session at a time, all sessions concurrently through the one
-// shared pool and workspace freelist, and the first request as a streamed
-// session. Runs under -race in CI.
+// contract — a seed sweep must decide bit-identically when the runtime is
+// given different parallelism budgets.
 func TestServiceSeedSweepAcrossGOMAXPROCS(t *testing.T) {
-	reqs := []Request{
-		pairRequest(0.4, 21), pairRequest(0.7, 22), pairRequest(1.0, 23),
-		pairRequest(0.4, 90), pairRequest(0.9, 91), pairRequest(1.4, 92), pairRequest(1.9, 93),
+	if testing.Short() {
+		t.Skip("GOMAXPROCS sweep is slow")
 	}
-	reqs[4].Interferers = []DeviceSpec{{Name: "other-user", X: 2.1, Y: 1.3}}
+	seeds := []int64{21, 22, 23}
+	run := func(procs int) []*core.Result {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		svc := newService(t, 2)
+		defer svc.Close()
+		out := make([]*core.Result, len(seeds))
+		for i, seed := range seeds {
+			res, err := svc.Authenticate(pairRequest(0.4+0.3*float64(i), seed))
+			if err != nil {
+				t.Fatalf("procs=%d seed=%d: %v", procs, seed, err)
+			}
+			out[i] = res
+		}
+		return out
+	}
+	base := run(1)
+	for _, procs := range []int{2, 4} {
+		got := run(procs)
+		for i := range seeds {
+			if math.Float64bits(got[i].DistanceM) != math.Float64bits(base[i].DistanceM) ||
+				got[i].Granted != base[i].Granted || got[i].Reason != base[i].Reason {
+				t.Fatalf("seed %d: GOMAXPROCS=%d %+v != GOMAXPROCS=1 %+v", seeds[i], procs, got[i], base[i])
+			}
+			if base[i].Session != nil && *got[i].Session != *base[i].Session {
+				t.Fatalf("seed %d: GOMAXPROCS=%d session diverged", seeds[i], procs)
+			}
+		}
+	}
+}
+
+// TestShardDeterminism keeps the name it had as the acceptance test of the
+// former sharded engine; its property holds for the one engine the service
+// now owns. The same request set decides bit-identically (Float64bits on
+// the measured distance, plus the full session report) against a serial
+// baseline under GOMAXPROCS 1, 2, 4 and 8, with the sessions running
+// concurrently through the one shared pool and workspace freelist, and the
+// first request also decides identically as a streamed session. Runs under
+// -race in CI.
+func TestShardDeterminism(t *testing.T) {
+	reqs := make([]Request, 4)
+	for i := range reqs {
+		reqs[i] = pairRequest(0.4+0.5*float64(i), int64(90+i))
+	}
+	reqs[1].Interferers = []DeviceSpec{{Name: "other-user", X: 2.1, Y: 1.3}}
+
+	ref := newService(t, 2)
+	want := make([]*core.Result, len(reqs))
+	for i, req := range reqs {
+		res, err := ref.Authenticate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	ref.Close()
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	var base []*core.Result
 	for _, procs := range []int{1, 2, 4, 8} {
 		if testing.Short() && procs != 1 && procs != 4 {
 			continue
 		}
 		runtime.GOMAXPROCS(procs)
 		svc := newService(t, 2)
-		serial := make([]*core.Result, len(reqs))
-		for i, req := range reqs {
-			res, err := svc.Authenticate(req)
-			if err != nil {
-				t.Fatalf("procs=%d request %d: %v", procs, i, err)
-			}
-			serial[i] = res
-		}
-		if base == nil {
-			base = serial
-		}
 
 		var wg sync.WaitGroup
-		concurrent := make([]*core.Result, len(reqs))
+		results := make([]*core.Result, len(reqs))
 		errs := make([]error, len(reqs))
 		for i := range reqs {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				concurrent[i], errs[i] = svc.Authenticate(reqs[i])
+				results[i], errs[i] = svc.Authenticate(reqs[i])
 			}(i)
 		}
 		wg.Wait()
@@ -374,17 +411,14 @@ func TestServiceSeedSweepAcrossGOMAXPROCS(t *testing.T) {
 
 		for i := range reqs {
 			if errs[i] != nil {
-				t.Fatalf("procs=%d request %d concurrent: %v", procs, i, errs[i])
+				t.Fatalf("procs=%d request %d: %v", procs, i, errs[i])
 			}
-			if !sameDecision(serial[i], base[i]) {
-				t.Fatalf("procs=%d request %d: serial decision diverged:\ngot  %+v\nbase %+v", procs, i, serial[i], base[i])
-			}
-			if !sameDecision(concurrent[i], base[i]) {
-				t.Fatalf("procs=%d request %d: concurrent decision diverged:\ngot  %+v\nbase %+v", procs, i, concurrent[i], base[i])
+			if !sameDecision(results[i], want[i]) {
+				t.Fatalf("procs=%d request %d: concurrent decision diverged:\ngot  %+v\nbase %+v", procs, i, results[i], want[i])
 			}
 		}
-		if !sameDecision(streamed, base[0]) {
-			t.Fatalf("procs=%d: streamed decision diverged:\nstream %+v\nbase   %+v", procs, streamed, base[0])
+		if !sameDecision(streamed, want[0]) {
+			t.Fatalf("procs=%d: streamed decision diverged:\nstream %+v\nbase   %+v", procs, streamed, want[0])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -80,10 +81,9 @@ func TestServiceOverrides(t *testing.T) {
 	}
 }
 
-// TestServiceWorkerCountInvariant: the service's one pool has exactly
-// Workers workers, and the same request must decide bit-identically no
-// matter how the pool is sized — the scan reduction is in window order, so
-// worker scheduling can never leak into results.
+// TestServiceWorkerCountInvariant: the same request must decide
+// bit-identically no matter how the pool is sized — the scan reduction is
+// in window order, so worker scheduling can never leak into results.
 func TestServiceWorkerCountInvariant(t *testing.T) {
 	reqs := []Request{
 		pairRequest(0.4, 11),
@@ -96,11 +96,6 @@ func TestServiceWorkerCountInvariant(t *testing.T) {
 	defer one.Close()
 	four := newService(t, 4)
 	defer four.Close()
-	for want, svc := range map[int]*AuthService{1: one, 4: four} {
-		if got := svc.pool.Workers(); got != want {
-			t.Fatalf("Workers %d built a pool of %d workers", want, got)
-		}
-	}
 	for i, req := range reqs {
 		a, err := one.Authenticate(req)
 		if err != nil {
@@ -114,6 +109,24 @@ func TestServiceWorkerCountInvariant(t *testing.T) {
 			math.Float64bits(a.DistanceM) != math.Float64bits(b.DistanceM) {
 			t.Fatalf("request %d: 1-worker %+v != 4-worker %+v", i, a, b)
 		}
+	}
+}
+
+// TestShardWorkerDistribution keeps the name it had when Workers was split
+// across shards: the service's one pool gets the whole Workers budget, and
+// Workers 0 means GOMAXPROCS.
+func TestShardWorkerDistribution(t *testing.T) {
+	for _, tc := range []struct{ workers, want int }{
+		{workers: 0, want: runtime.GOMAXPROCS(0)},
+		{workers: 1, want: 1},
+		{workers: 2, want: 2},
+		{workers: 5, want: 5},
+	} {
+		svc := newService(t, tc.workers)
+		if got := svc.pool.Workers(); got != tc.want {
+			t.Errorf("Workers %d built a pool of %d workers, want %d", tc.workers, got, tc.want)
+		}
+		svc.Close()
 	}
 }
 
