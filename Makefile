@@ -45,7 +45,7 @@ test-lifecycle:
 # refusal) under seeded loss at any GOMAXPROCS, and the loss-storm chaos
 # test must leak no slots (ARCHITECTURE.md "Lossy transport").
 test-loss:
-	$(GO) test -race -run 'TestSessionFramed|TestSessionGapRepair|TestChaosLossStorm' ./internal/service/
+	$(GO) test -race -run 'TestSessionIngest|TestSessionFramed|TestSessionGapRepair|TestChaosLossStorm' ./internal/service/
 	$(GO) test -race ./internal/frame/ ./internal/arrival/
 
 # Fuzz smoke against the three wire-facing decoders — the Step-II

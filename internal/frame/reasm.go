@@ -20,21 +20,23 @@ type Delivery struct {
 	// Offset is the delivery's first sample index in the recording.
 	Offset int
 	// PCM is the delivered run (nil for a lost span). It aliases the
-	// reassembler's buffer; consume it before the next Add call.
+	// reassembler's buffer or the caller's payload; consume it, and the
+	// delivery slice holding it, before the next call.
 	PCM []int16
 	// Lost is the span length declared lost (0 for a data run).
 	Lost int
 }
 
-// Stats counts a reassembler's frame dispositions (diagnostics).
+// Stats counts a reassembler's payload dispositions (diagnostics). A
+// payload is a frame (Add) or a bare chunk (Place).
 type Stats struct {
-	// Frames counts frames accepted with at least one fresh sample.
+	// Frames counts payloads accepted with at least one fresh sample.
 	Frames int
-	// Dups counts frames carrying only already-covered samples.
+	// Dups counts payloads carrying no fresh sample (empty ones included).
 	Dups int
 	// Corrupt counts frames rejected for a CRC mismatch.
 	Corrupt int
-	// Rejected counts frames rejected for an out-of-range payload.
+	// Rejected counts payloads rejected for lying outside the recording.
 	Rejected int
 	// LostSamples counts samples declared lost so far.
 	LostSamples int
@@ -52,25 +54,26 @@ type hole struct {
 }
 
 // Reassembler converts an out-of-order, lossy frame arrival sequence into
-// the in-order delivery sequence the contiguous scan path consumes. Frames
-// land at their Offset; runs contiguous with the delivery frontier are
-// delivered immediately; everything else is buffered. A gap (a hole before
-// buffered data) stays repairable by a retransmitted frame until either
-// (a) the buffered data runs more than the reorder window ahead of the
-// frontier — the structural bound, a pure function of the frame sequence,
-// which is what keeps loss handling bit-deterministic — or (b) a caller-
-// driven wall-clock deadline expires it (Expire), or (c) the feed is
-// declared over (Flush). An expired gap becomes an explicit lost-span
-// delivery, never silently skipped audio.
+// the in-order delivery sequence the contiguous scan path consumes.
+// Payloads land at their offset; runs contiguous with the delivery
+// frontier are delivered immediately; everything else is buffered. A gap
+// (a hole before buffered data) stays repairable by a retransmitted frame
+// until either (a) the buffered data runs more than the reorder window
+// ahead of the frontier — the structural bound, a pure function of the
+// frame sequence, which is what keeps loss handling bit-deterministic — or
+// (b) a caller-driven wall-clock deadline expires it (Expire), or (c) the
+// feed is declared over (Flush). An expired gap becomes an explicit
+// lost-span delivery, never silently skipped audio.
 //
 // A Reassembler is not safe for concurrent use; callers serialize access
 // (the session layer holds one per role under a per-role lock).
 type Reassembler struct {
 	total  int
 	window int
-	buf    []int16
-	next   int // delivery frontier: [0, next) fully delivered
-	maxEnd int // highest sample covered by any accepted frame
+	buf    []int16    // reorder buffer, indexed by sample; nil until first needed
+	dv     []Delivery // delivery scratch, reused by every call
+	next   int        // delivery frontier: [0, next) fully delivered
+	maxEnd int        // highest sample covered by any accepted frame
 	spans  []span
 	holes  []hole // holes between next and the spans, ascending
 	stats  Stats
@@ -89,7 +92,7 @@ func NewReassembler(total, window int) (*Reassembler, error) {
 	if window < 1 {
 		return nil, fmt.Errorf("frame: reorder window %d must be ≥ 1 (0 for the default)", window)
 	}
-	return &Reassembler{total: total, window: window, buf: make([]int16, total)}, nil
+	return &Reassembler{total: total, window: window}, nil
 }
 
 // Next returns the delivery frontier: every sample below it has been
@@ -115,30 +118,38 @@ func (r *Reassembler) Gaps() [][2]int {
 	return out
 }
 
-// Stats returns the frame-disposition counters so far.
+// Stats returns the payload-disposition counters so far.
 func (r *Reassembler) Stats() Stats { return r.stats }
 
-// Add ingests one frame at time now and returns the in-order deliveries it
-// unlocked (often none — the frame may only fill buffer). The frame's CRC
-// is verified first: a corrupt frame returns ErrCorrupt with no state
-// change, an out-of-range payload ErrRange likewise. fresh reports whether
-// the frame contributed at least one not-yet-covered sample (the session
-// layer's definition of client progress). Duplicate and already-delivered
-// payloads are accepted silently (retransmissions crossing a repair are
-// normal); overlapping payloads keep the first-arrived samples.
+// Add ingests one frame at time now: the frame's CRC is verified first (a
+// corrupt frame returns ErrCorrupt with no state change), then its payload
+// is placed at its offset (see Place).
 func (r *Reassembler) Add(f Frame, now time.Time) (dv []Delivery, fresh bool, err error) {
 	if err := f.Verify(); err != nil {
 		r.stats.Corrupt++
 		return nil, false, err
 	}
-	// Compared without forming Offset+len, which overflows for an offset
-	// near math.MaxInt and would pass the frame on as a duplicate.
-	if f.Offset < 0 || f.Offset > r.total-len(f.PCM) {
+	return r.Place(f.Offset, f.PCM, now)
+}
+
+// Place ingests one payload starting at sample offset at time now and
+// returns the in-order deliveries it unlocked (often none — the payload
+// may only fill buffer). An out-of-range payload returns ErrRange with no
+// state change. fresh reports whether the payload contributed at least one
+// not-yet-covered sample (the session layer's definition of client
+// progress). Duplicate and already-delivered samples are accepted silently
+// (retransmissions crossing a repair are normal); overlapping payloads
+// keep the first-arrived samples. A payload landing at the frontier while
+// nothing is buffered is delivered as-is, without a copy.
+func (r *Reassembler) Place(offset int, pcm []int16, now time.Time) (dv []Delivery, fresh bool, err error) {
+	// Compared without forming offset+len, which overflows for an offset
+	// near math.MaxInt and would pass the payload on as a duplicate.
+	if offset < 0 || offset > r.total-len(pcm) {
 		r.stats.Rejected++
 		return nil, false, fmt.Errorf("%w: %d samples at offset %d against declared length %d",
-			ErrRange, len(f.PCM), f.Offset, r.total)
+			ErrRange, len(pcm), offset, r.total)
 	}
-	lo, hi := f.Offset, f.Offset+len(f.PCM)
+	lo, hi := offset, offset+len(pcm)
 	if lo < r.next {
 		lo = r.next
 	}
@@ -146,8 +157,15 @@ func (r *Reassembler) Add(f Frame, now time.Time) (dv []Delivery, fresh bool, er
 		r.stats.Dups++
 		return nil, false, nil
 	}
-	fresh = r.insert(lo, hi, f.PCM[lo-f.Offset:])
-	if !fresh {
+	if lo == r.next && len(r.spans) == 0 {
+		// In-order fast path: nothing is buffered, so no hole exists and
+		// the payload is the next delivery.
+		r.stats.Frames++
+		r.next, r.maxEnd = hi, hi
+		r.dv = append(r.dv[:0], Delivery{Offset: lo, PCM: pcm[lo-offset : len(pcm) : len(pcm)]})
+		return r.dv, true, nil
+	}
+	if !r.insert(lo, hi, pcm[lo-offset:]) {
 		r.stats.Dups++
 		return nil, false, nil
 	}
@@ -156,7 +174,7 @@ func (r *Reassembler) Add(f Frame, now time.Time) (dv []Delivery, fresh bool, er
 		r.maxEnd = hi
 	}
 	r.rebuildHoles(now)
-	dv = r.pop(nil)
+	dv = r.pop(r.dv[:0])
 	// Structural expiry: buffered data may run at most window samples
 	// ahead of the frontier. Past that, the oldest gap will not be waited
 	// on any longer — it is declared lost, which unlocks the data behind
@@ -165,13 +183,18 @@ func (r *Reassembler) Add(f Frame, now time.Time) (dv []Delivery, fresh bool, er
 		dv = r.loseFront(dv)
 		dv = r.pop(dv)
 	}
+	r.dv = dv
 	return dv, true, nil
 }
 
 // insert copies the not-yet-covered samples of data (covering [lo, hi))
-// into the buffer and merges the range into the span set, reporting
-// whether any sample was fresh. First arrival wins on overlaps.
+// into the buffer (allocated on first use: an in-order feed never needs
+// it) and merges the range into the span set, reporting whether any
+// sample was fresh. First arrival wins on overlaps.
 func (r *Reassembler) insert(lo, hi int, data []int16) bool {
+	if r.buf == nil {
+		r.buf = make([]int16, r.total)
+	}
 	fresh := false
 	i := sort.Search(len(r.spans), func(i int) bool { return r.spans[i].hi >= lo })
 	cur := lo
@@ -259,11 +282,12 @@ func (r *Reassembler) loseFront(dv []Delivery) []Delivery {
 // deeper expired hole emerges as the frontier advances. The caller drives
 // the clock; the reassembler never consults time itself.
 func (r *Reassembler) Expire(now time.Time, timeout time.Duration) []Delivery {
-	var dv []Delivery
+	dv := r.dv[:0]
 	for len(r.holes) > 0 && r.holes[0].lo == r.next && now.Sub(r.holes[0].openedAt) >= timeout {
 		dv = r.loseFront(dv)
 		dv = r.pop(dv)
 	}
+	r.dv = dv
 	return dv
 }
 
@@ -274,7 +298,7 @@ func (r *Reassembler) Expire(now time.Time, timeout time.Duration) []Delivery {
 // (FinishFeed), so a session can decide with a lost tail instead of
 // waiting forever for audio that will never come.
 func (r *Reassembler) Flush() []Delivery {
-	dv := r.pop(nil)
+	dv := r.pop(r.dv[:0])
 	for len(r.holes) > 0 {
 		dv = r.loseFront(dv)
 		dv = r.pop(dv)
@@ -285,5 +309,6 @@ func (r *Reassembler) Flush() []Delivery {
 		r.stats.LostSamples += n
 		r.next = r.total
 	}
+	r.dv = dv
 	return dv
 }

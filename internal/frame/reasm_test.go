@@ -2,6 +2,7 @@ package frame
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -322,5 +323,196 @@ func TestReassemblerRandomizedCoverage(t *testing.T) {
 		if at != total {
 			t.Fatalf("seed %d: coverage ends at %d, want %d", seed, at, total)
 		}
+	}
+}
+
+// reasmOp is one step of a reassembler schedule: a frame arriving at now,
+// or (expire > 0) an Expire at now, or a Flush.
+type reasmOp struct {
+	f      Frame
+	now    time.Time
+	expire time.Duration
+	flush  bool
+}
+
+// sameDeliveries reports whether two delivery sequences carry the same
+// offsets, lost spans, and samples.
+func sameDeliveries(a, b []Delivery) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Offset != b[i].Offset || a[i].Lost != b[i].Lost || len(a[i].PCM) != len(b[i].PCM) {
+			return false
+		}
+		for k := range a[i].PCM {
+			if a[i].PCM[k] != b[i].PCM[k] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestReassemblerPlaceMatchesAdd: Add is Verify followed by Place at the
+// frame's offset. Every reassembler case above, replayed both ways, yields
+// the same deliveries, freshness, errors, frontier, gaps, and counters
+// (Corrupt aside: a bare Verify counts nothing).
+func TestReassemblerPlaceMatchesAdd(t *testing.T) {
+	t0 := time.Unix(100, 0)
+	ms := time.Millisecond
+	at := func(lo, hi int, seq uint32, now time.Time) reasmOp {
+		return reasmOp{f: New(seq, lo, testPCM(hi)[lo:hi]), now: now}
+	}
+	corrupt := New(1, 0, []int16{1, 2, 3})
+	corrupt.CRC ^= 1
+	evil := append([]int16{-1, -2, -3}, testPCM(300)[153:300]...)
+	type reasmCase struct {
+		name          string
+		total, window int
+		ops           []reasmOp
+	}
+	cases := []reasmCase{
+		{"in-order", 1000, 0, func() []reasmOp {
+			var ops []reasmOp
+			for off := 0; off < 1000; off += 100 {
+				ops = append(ops, at(off, off+100, uint32(off/100), time.Time{}))
+			}
+			return ops
+		}()},
+		{"reorder-repair", 300, 0, []reasmOp{at(100, 200, 1, t0), at(0, 100, 0, t0)}},
+		{"structural-expiry", 2000, 500, []reasmOp{at(100, 450, 1, t0), at(450, 700, 2, t0)}},
+		{"wall-clock-expiry", 400, 0, []reasmOp{at(100, 200, 1, t0),
+			{now: t0.Add(50 * ms), expire: 100 * ms}, {now: t0.Add(150 * ms), expire: 100 * ms}}},
+		{"split-gap", 600, 0, []reasmOp{at(400, 500, 1, t0), at(200, 300, 2, t0.Add(90*ms)),
+			{now: t0.Add(100 * ms), expire: 100 * ms}}},
+		{"dup-and-overlap", 500, 0, []reasmOp{at(0, 200, 0, t0), at(0, 200, 0, t0),
+			{f: Frame{Seq: 9, Offset: 150, CRC: checksum(9, 150, evil), PCM: evil}}}},
+		{"rejects", 100, 0, []reasmOp{{f: corrupt}, {f: New(2, 98, []int16{1, 2, 3})},
+			{f: New(3, -1, []int16{1})}, {f: New(4, math.MaxInt-5, make([]int16, 10))}}},
+		{"flush", 1000, 0, []reasmOp{at(0, 100, 0, t0), at(200, 300, 2, t0), {flush: true}}},
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var ops []reasmOp
+		for lo := 0; lo < 20000; {
+			hi := min(lo+50+rng.Intn(400), 20000)
+			if rng.Float64() >= 0.15 {
+				ops = append(ops, at(lo, hi, uint32(len(ops)), t0))
+			}
+			lo = hi
+		}
+		rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+		ops = append(ops, reasmOp{flush: true})
+		cases = append(cases, reasmCase{fmt.Sprintf("randomized-%d", seed), 20000, 1 << 10, ops})
+	}
+
+	for _, c := range cases {
+		ra, err := NewReassembler(c.total, c.window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, _ := NewReassembler(c.total, c.window)
+		for i, op := range c.ops {
+			var da, dp []Delivery
+			var fa, fp bool
+			var ea, ep error
+			switch {
+			case op.flush:
+				da, dp = ra.Flush(), rp.Flush()
+			case op.expire > 0:
+				da, dp = ra.Expire(op.now, op.expire), rp.Expire(op.now, op.expire)
+			default:
+				da, fa, ea = ra.Add(op.f, op.now)
+				if ep = op.f.Verify(); ep == nil {
+					dp, fp, ep = rp.Place(op.f.Offset, op.f.PCM, op.now)
+				}
+			}
+			if !sameDeliveries(da, dp) || fa != fp || fmt.Sprint(ea) != fmt.Sprint(ep) {
+				t.Fatalf("%s op %d: Add → %+v %v %v; Verify+Place → %+v %v %v", c.name, i, da, fa, ea, dp, fp, ep)
+			}
+			sa, sp := ra.Stats(), rp.Stats()
+			sa.Corrupt, sp.Corrupt = 0, 0
+			if ra.Next() != rp.Next() || ra.Pending() != rp.Pending() ||
+				fmt.Sprint(ra.Gaps()) != fmt.Sprint(rp.Gaps()) || sa != sp {
+				t.Fatalf("%s op %d: state diverged: next %d/%d pending %d/%d gaps %v/%v stats %+v/%+v", c.name, i,
+					ra.Next(), rp.Next(), ra.Pending(), rp.Pending(), ra.Gaps(), rp.Gaps(), sa, sp)
+			}
+		}
+	}
+}
+
+// TestReassemblerInOrderPlaceNoBuffer: payloads placed at the frontier
+// while nothing is buffered are delivered as-is — the reorder buffer is
+// never allocated and, once the delivery scratch is warm, nothing is.
+func TestReassemblerInOrderPlaceNoBuffer(t *testing.T) {
+	const chunk, runs = 100, 1000
+	pcm := testPCM(chunk * (runs + 2))
+	r, err := NewReassembler(len(pcm), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		at := r.Next()
+		dv, fresh, err := r.Place(at, pcm[at:at+chunk], time.Time{})
+		if err != nil || !fresh || len(dv) != 1 || dv[0].Offset != at || &dv[0].PCM[0] != &pcm[at] {
+			t.Fatalf("in-order place at %d: dv=%+v fresh=%v err=%v", at, dv, fresh, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("in-order Place allocates %.1f times per call, want 0", allocs)
+	}
+	if r.buf != nil {
+		t.Fatal("in-order Place allocated the reorder buffer")
+	}
+	if st := r.Stats(); st.Frames != runs+1 || r.Next() != chunk*(runs+1) {
+		t.Fatalf("stats %+v next %d after %d in-order chunks", st, r.Next(), runs+1)
+	}
+}
+
+// TestReassemblerLazyBuffer: the first payload landing ahead of the
+// frontier allocates the reorder buffer, and from there the reassembler
+// buffers, repairs, and delivers exactly as a frame-only feed does.
+func TestReassemblerLazyBuffer(t *testing.T) {
+	pcm := testPCM(1000)
+	r, err := NewReassembler(1000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Place(0, pcm[0:100], time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if r.buf != nil {
+		t.Fatal("in-order prefix allocated the reorder buffer")
+	}
+	if dv, fresh, err := r.Place(300, pcm[300:400], time.Time{}); err != nil || !fresh || len(dv) != 0 {
+		t.Fatalf("ahead-of-frontier payload: dv=%+v fresh=%v err=%v", dv, fresh, err)
+	}
+	if len(r.buf) != 1000 {
+		t.Fatalf("reorder buffer holds %d samples, want 1000", len(r.buf))
+	}
+	if g := r.Gaps(); len(g) != 1 || g[0] != [2]int{100, 300} {
+		t.Fatalf("gaps %v, want [[100 300]]", g)
+	}
+	// An in-order payload with data buffered takes the buffered path and
+	// unlocks the run behind it.
+	dv, _, err := r.Place(r.Next(), pcm[100:300], time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 100
+	for _, d := range dv {
+		if d.Offset != at || d.Lost != 0 {
+			t.Fatalf("deliveries %+v, want data from %d", dv, at)
+		}
+		for i, s := range d.PCM {
+			if s != pcm[at+i] {
+				t.Fatalf("sample %d: %d != %d", at+i, s, pcm[at+i])
+			}
+		}
+		at += len(d.PCM)
+	}
+	if at != 400 || r.Next() != 400 || r.Pending() != 0 {
+		t.Fatalf("repair delivered to %d, next %d pending %d; want 400, 400, 0", at, r.Next(), r.Pending())
 	}
 }

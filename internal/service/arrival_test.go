@@ -10,61 +10,6 @@ import (
 	"github.com/acoustic-auth/piano/internal/core"
 )
 
-// feedArrival drives one role's feed from a deterministic arrival schedule,
-// delivering the chunk partition the model draws (gaps are skipped: the
-// decision is timing-independent, which is exactly what the test pins).
-func feedArrival(t *testing.T, sn *Session, role core.Role, cfg arrival.Config, seed int64) {
-	t.Helper()
-	rec := sn.Recording(role)
-	chunks, err := arrival.Chunks(cfg, seed, len(rec))
-	if err != nil {
-		t.Fatalf("arrival.Chunks: %v", err)
-	}
-	at := 0
-	for i, n := range chunks {
-		if err := sn.Feed(role, rec[at:at+n]); err != nil {
-			t.Fatalf("%v arrival chunk %d [%d, %d): %v", role, i, at, at+n, err)
-		}
-		at += n
-	}
-	if at != len(rec) {
-		t.Fatalf("%v arrival schedule fed %d of %d samples", role, at, len(rec))
-	}
-}
-
-// TestSessionArrivalBitIdentical is the arrival-model determinism contract
-// at the service level: a session fed by the live-microphone traffic model
-// — jittered chunk sizes, underrun backlog bursts, a different seed per
-// role — decides bit-identically to batch Authenticate on the same
-// request, for every arrival seed.
-func TestSessionArrivalBitIdentical(t *testing.T) {
-	svc := newService(t, 0)
-	defer svc.Close()
-	req := pairRequest(0.8, 59)
-	want, err := svc.Authenticate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := arrival.Config{Jitter: 0.4, UnderrunProb: 0.25}
-	for seed := int64(1); seed <= 8; seed++ {
-		sn, err := svc.OpenSession(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedArrival(t, sn, core.RoleAuth, cfg, seed)
-		feedArrival(t, sn, core.RoleVouch, cfg, seed+1000)
-		res, err := sn.Result()
-		if err != nil {
-			t.Fatalf("arrival seed %d: %v", seed, err)
-		}
-		if !sameDecision(res, want) {
-			t.Fatalf("arrival seed %d: jittered feed diverged from batch:\nstream %+v\nbatch  %+v",
-				seed, res, want)
-		}
-	}
-}
-
 // TestSessionArrivalAbandonReaped closes the loop between the traffic
 // model and the lifecycle watchdog: a client whose arrival schedule draws
 // the Abandon fate feeds its prefix, vanishes, and the watchdog resolves

@@ -46,6 +46,15 @@
 // (ErrNeedMoreAudio, ErrFeedOverflow, ErrStreamDecided) report misuse
 // without resolving the session.
 //
+// One ingestion path: every byte of session audio enters through the
+// role's frame.Reassembler. Feed places a chunk at the role's delivery
+// frontier (no CRC; an in-order chunk is delivered as-is, without a copy),
+// FeedFrame verifies a frame's CRC and places it at its own offset, and
+// FinishFeed flushes the role. A role may mix Feed and FeedFrame freely.
+// The deliveries reach the scan through one locked helper, which also
+// resets the idle clock when fresh samples landed — so empty, duplicate
+// and refused payloads never keep a session alive.
+//
 // Session lifecycle (PR 8): a client that vanishes mid-feed without
 // closing would leak its slot forever, so Config.SessionIdleTimeout and
 // Config.SessionMaxLifetime (both 0 = legacy unbounded) arm a per-service
@@ -54,7 +63,9 @@
 // ErrSessionExpired — both through the same first-writer-wins path, both
 // matching the ErrSessionReaped category. Time inside an in-flight
 // Feed/TryResult does not count as idle (a long scan is work, not a
-// stall) and refused chunks do not reset the idle clock. New rejects
+// stall) and refused, empty or duplicate chunks do not reset the idle
+// clock. The watchdog's gap expiry skips a role whose ingest lock is held
+// (it is being fed) rather than wait behind its scan. New rejects
 // negative durations with ErrConfig. The slot-leak storm test proves
 // every MaxSessions slot is recoverable after a storm of abandoned
 // sessions, and the watchdog chaos tests race sweeps against Close under

@@ -103,49 +103,6 @@ func runFramed(t *testing.T, svc *AuthService, req Request, wire arrival.WireCon
 	return outcomeOf(sn.Result())
 }
 
-// TestSessionFramedCleanBitIdentical is the acceptance property: a framed
-// session on a clean transport — frames in order, intact, nothing lost —
-// decides bit-identically (Float64bits) to the batch pipeline and reports
-// no degradation, at GOMAXPROCS 1, 2, 4, and 8.
-func TestSessionFramedCleanBitIdentical(t *testing.T) {
-	svc := newService(t, 0)
-	defer svc.Close()
-	req := pairRequest(0.8, 73)
-	want, err := svc.Authenticate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 2, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		sn, err := svc.OpenSession(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, role := range []core.Role{core.RoleAuth, core.RoleVouch} {
-			evs, err := arrival.Wire(arrival.Config{Jitter: 0.2}, arrival.WireConfig{}, 31+int64(i), len(sn.Recording(role)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ferr := feedWire(t, sn, role, evs); ferr != nil {
-				t.Fatalf("procs=%d: clean framed feed failed: %v", procs, ferr)
-			}
-		}
-		res, err := sn.Result()
-		if err != nil {
-			t.Fatalf("procs=%d: %v", procs, err)
-		}
-		if !sameDecision(res, want) {
-			t.Fatalf("procs=%d: clean framed decision diverged:\nframed %+v\nbatch  %+v", procs, res, want)
-		}
-		if res.Session == nil || res.Session.Degraded != nil {
-			t.Fatalf("procs=%d: clean framed session reported degradation: %+v", procs, res.Session)
-		}
-	}
-}
-
 // TestSessionFramedSeededLossDeterministic is the loss-determinism
 // property: for any seeded loss/dup/reorder/corrupt pattern, a framed
 // session reaches the same decision — or the same typed error — at
@@ -266,47 +223,6 @@ func TestSessionFramedTailLossDecidesDegraded(t *testing.T) {
 		} else if got != base {
 			t.Fatalf("procs=%d: degraded outcome diverged: %+v vs %+v", procs, got, base)
 		}
-	}
-}
-
-// TestSessionFramedMixedFeedTyped: a role commits to one transport on its
-// first feed; crossing over is refused typed in both directions, with the
-// session still usable on the committed path.
-func TestSessionFramedMixedFeedTyped(t *testing.T) {
-	svc := newService(t, 0)
-	defer svc.Close()
-	sn, err := svc.OpenSession(context.Background(), pairRequest(0.8, 81))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sn.Close()
-
-	// RoleAuth commits to plain Feed; a frame is then refused.
-	rec := sn.Recording(core.RoleAuth)
-	if err := sn.Feed(core.RoleAuth, rec[:1000]); err != nil {
-		t.Fatal(err)
-	}
-	if err := sn.FeedFrame(core.RoleAuth, frame.New(0, 1000, rec[1000:2000])); !errors.Is(err, ErrMixedFeed) {
-		t.Fatalf("FeedFrame on a plain role returned %v, want ErrMixedFeed", err)
-	}
-	if err := sn.FinishFeed(core.RoleAuth); !errors.Is(err, ErrMixedFeed) {
-		t.Fatalf("FinishFeed on a plain role returned %v, want ErrMixedFeed", err)
-	}
-
-	// RoleVouch commits to frames; a plain chunk is then refused.
-	vrec := sn.Recording(core.RoleVouch)
-	if err := sn.FeedFrame(core.RoleVouch, frame.New(0, 0, vrec[:1000])); err != nil {
-		t.Fatal(err)
-	}
-	if err := sn.Feed(core.RoleVouch, vrec[1000:2000]); !errors.Is(err, ErrMixedFeed) {
-		t.Fatalf("Feed on a framed role returned %v, want ErrMixedFeed", err)
-	}
-	// The committed paths still work.
-	if err := sn.Feed(core.RoleAuth, rec[1000:2000]); err != nil {
-		t.Fatal(err)
-	}
-	if err := sn.FeedFrame(core.RoleVouch, frame.New(1, 1000, vrec[1000:2000])); err != nil {
-		t.Fatal(err)
 	}
 }
 

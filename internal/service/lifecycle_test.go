@@ -10,6 +10,7 @@ import (
 
 	"github.com/acoustic-auth/piano/internal/core"
 	"github.com/acoustic-auth/piano/internal/faultinject"
+	"github.com/acoustic-auth/piano/internal/frame"
 )
 
 // newLifecycleService builds a service with the lifecycle watchdog armed.
@@ -260,6 +261,96 @@ func TestLifecycleRejectedFeedsDoNotResetIdleClock(t *testing.T) {
 		break
 	}
 	assertNoLeak(t, svc)
+}
+
+// TestLifecycleZeroLengthFeedsStall: empty chunks and empty frames carry
+// no audio, so they are not progress — a client spamming them (the
+// hostile-client "zero-length frames" case) still stalls out and its slot
+// comes back.
+func TestLifecycleZeroLengthFeedsStall(t *testing.T) {
+	spam := map[string]func(sn *Session) error{
+		"Feed": func(sn *Session) error { return sn.Feed(core.RoleAuth, nil) },
+		"FeedFrame": func(sn *Session) error {
+			return sn.FeedFrame(core.RoleVouch, frame.New(0, 0, nil))
+		},
+	}
+	for name, call := range spam {
+		t.Run(name, func(t *testing.T) {
+			svc := newLifecycleService(t, 1, 60*time.Millisecond, 0)
+			defer svc.Close()
+			sn, err := svc.OpenSession(context.Background(), pairRequest(0.8, 75))
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				err := call(sn)
+				if err == nil {
+					if time.Now().After(deadline) {
+						t.Fatal("zero-length spam kept the session alive")
+					}
+					time.Sleep(10 * time.Millisecond)
+					continue
+				}
+				if !errors.Is(err, ErrSessionStalled) {
+					t.Fatalf("zero-length spam ended with %v, want ErrSessionStalled", err)
+				}
+				break
+			}
+			assertNoLeak(t, svc)
+		})
+	}
+}
+
+// TestLifecycleSweepSkipsBusyRole: a watchdog sweep must not wait on a
+// role's ingest lock (held by a feed mid-scan). With one session's lock
+// held, a sweep past a second session's lifetime still returns and
+// expires the second session.
+func TestLifecycleSweepSkipsBusyRole(t *testing.T) {
+	svc, err := New(Config{
+		Core:               core.DefaultConfig(),
+		Workers:            2,
+		MaxSessions:        2,
+		SessionMaxLifetime: time.Hour,
+		GapRepairTimeout:   time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	old, err := svc.OpenSession(context.Background(), pairRequest(0.8, 76))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	busy, err := svc.OpenSession(context.Background(), pairRequest(0.8, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	// Past old's lifetime, not yet past busy's.
+	now := old.opened.Add(time.Hour + busy.opened.Sub(old.opened)/2)
+	ing := &busy.ingest[core.RoleAuth]
+	ing.mu.Lock()
+	swept := make(chan struct{})
+	go func() {
+		svc.sweep(now)
+		close(swept)
+	}()
+	select {
+	case <-swept:
+	case <-time.After(5 * time.Second):
+		ing.mu.Unlock()
+		<-swept
+		t.Fatal("sweep blocked on a busy role's ingest lock")
+	}
+	ing.mu.Unlock()
+	if _, rerr, done := old.outcome(); !done || !errors.Is(rerr, ErrSessionExpired) {
+		t.Fatalf("old session resolution = %v (done=%v), want ErrSessionExpired", rerr, done)
+	}
+	if _, _, done := busy.outcome(); done {
+		t.Fatal("the busy session was resolved by a sweep before its deadline")
+	}
 }
 
 // TestLifecycleSlotLeakStorm is the acceptance-criterion leak proof: a

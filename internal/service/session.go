@@ -42,10 +42,6 @@ var (
 	// (or behind already-delivered audio with different sample values).
 	// Rejected whole; session open.
 	ErrFrameRange = frame.ErrRange
-	// ErrMixedFeed: a role was fed through both Feed (trusted transport)
-	// and FeedFrame (lossy transport). The two paths have incompatible
-	// ordering contracts, so a role commits to one on its first feed.
-	ErrMixedFeed = errors.New("service: role fed through both Feed and FeedFrame")
 )
 
 // Session is one admitted streaming authentication session: Steps I–III
@@ -67,10 +63,10 @@ type Session struct {
 	cancel context.CancelFunc
 
 	// Lifecycle-watchdog clocks: when the session was opened, and the
-	// UnixNano of the last successful Feed (initialized to the open time,
-	// so the open→first-Feed gap is bounded too). lastFeed is atomic
-	// because feeders store it while the watchdog loads it off-lock.
-	// active counts Feed/TryResult calls currently running: while it is
+	// UnixNano of the last call that placed fresh samples (initialized to
+	// the open time, so the open→first-Feed gap is bounded too). lastFeed
+	// is atomic because feeders store it while the watchdog loads it
+	// off-lock. active counts client calls currently running: while it is
 	// nonzero the client is mid-delivery (or waiting on the decision scan)
 	// and the idle clock does not tick — a scan that outlasts
 	// SessionIdleTimeout is work, not a stall (only SessionMaxLifetime
@@ -79,9 +75,8 @@ type Session struct {
 	lastFeed atomic.Int64
 	active   atomic.Int32
 
-	// ingest holds each role's lossy-transport reassembly state, indexed
-	// by core.Role. A role that never sees a FeedFrame keeps a nil
-	// reassembler and costs nothing.
+	// ingest holds each role's reassembly state, indexed by core.Role: the
+	// only way audio reaches the scan engine.
 	ingest [2]roleIngest
 
 	mu       sync.Mutex
@@ -90,17 +85,16 @@ type Session struct {
 	err      error
 }
 
-// roleIngest is one role's framed-transport state: the jitter buffer
-// reassembling out-of-order frames into the in-order feed, and the
-// plain/framed commitment that keeps the two transports from interleaving.
-// Its mutex serializes FeedFrame/FinishFeed/gap-expiry for the role and is
+// roleIngest is one role's ingestion state: the reassembler turning Feed
+// chunks (placed at the frontier) and out-of-order frames (placed at their
+// offsets) into the in-order feed, built on the role's first call. Its
+// mutex serializes Feed/FeedFrame/FinishFeed/gap-expiry for the role and is
 // always taken before the engine's own locks, so delivery order into the
 // scan — the thing the determinism contract hangs on — is the reassembler's
 // order, never a race between callers.
 type roleIngest struct {
 	mu    sync.Mutex
 	reasm *frame.Reassembler
-	plain bool // role committed to Feed; FeedFrame is refused
 }
 
 // OpenSession admits and opens a streaming session for the request:
@@ -266,15 +260,10 @@ func (sn *Session) EarlyFeedLen(role core.Role) int { return sn.as.EarlyFeedLen(
 // Fed returns how many samples of the role's recording have arrived.
 func (sn *Session) Fed(role core.Role) int { return sn.as.Fed(role) }
 
-// Feed ingests one chunk of the role's recording and advances that role's
-// scan. Typed failures: ErrFeedOverflow (chunk rejected whole, session
-// open), ErrStreamDecided (decision already made — or the session's own
-// resolution error, if it resolved to one), ErrInternal (a panic anywhere
-// in the feed path; the session is resolved and its slot released), or the
-// session context's error once canceled. A panic in the feed path is
-// recovered here, mirroring the batch pipeline's session-goroutine
-// isolation.
-func (sn *Session) Feed(role core.Role, pcm []int16) (err error) {
+// enter admits one client call: it returns the session's resolution error
+// (ErrStreamDecided after a decision) once resolved, and otherwise counts
+// the call active until the deferred exit.
+func (sn *Session) enter() error {
 	if _, rerr, done := sn.outcome(); done {
 		if rerr != nil {
 			return rerr
@@ -282,46 +271,53 @@ func (sn *Session) Feed(role core.Role, pcm []int16) (err error) {
 		return ErrStreamDecided
 	}
 	sn.active.Add(1)
-	defer sn.active.Add(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			ie := &InternalError{Panic: r, Stack: debug.Stack()}
-			sn.svc.replenish()
-			sn.resolve(nil, ie)
-			err = ie
-		}
-	}()
+	return nil
+}
+
+// exit ends a call admitted by enter. A panic anywhere in the call is
+// recovered here, mirroring the batch pipeline's session-goroutine
+// isolation: the session resolves ErrInternal and *err reports it.
+func (sn *Session) exit(err *error) {
+	if r := recover(); r != nil {
+		*err = sn.crash(r)
+	}
+	sn.active.Add(-1)
+}
+
+// crash resolves the session to ErrInternal for a recovered panic,
+// replenishing the engine's workspace as the batch path does.
+func (sn *Session) crash(r any) error {
+	ie := &InternalError{Panic: r, Stack: debug.Stack()}
+	sn.svc.replenish()
+	sn.resolve(nil, ie)
+	return ie
+}
+
+// Feed ingests the next chunk of the role's recording from a trusted,
+// in-order transport: the chunk lands at the role's delivery frontier and
+// advances the scan. Typed failures: ErrFeedOverflow (chunk rejected
+// whole, session open), ErrStreamDecided (decision already made — or the
+// session's own resolution error, if it resolved to one), ErrInternal (a
+// panic anywhere in the feed path; the session is resolved and its slot
+// released), or the session context's error once canceled. Feed and
+// FeedFrame share one reassembler per role, so they may be interleaved.
+func (sn *Session) Feed(role core.Role, pcm []int16) (err error) {
+	if err := sn.enter(); err != nil {
+		return err
+	}
+	defer sn.exit(&err)
 	// Chaos hook: perturb ingestion itself (error → one failed feed with
 	// the session open; panic → feeder crash, session resolves internal).
 	if ferr := faultinject.Fire(faultinject.SiteStreamFeed); ferr != nil {
 		return fmt.Errorf("service: feed: %w", ferr)
 	}
-	if ing := sn.ingestFor(role); ing != nil {
-		ing.mu.Lock()
-		if ing.reasm != nil {
-			ing.mu.Unlock()
-			return ErrMixedFeed
+	return sn.ingestStep(role, func(r *frame.Reassembler, now time.Time) ([]frame.Delivery, bool, error) {
+		dv, fresh, perr := r.Place(r.Next(), pcm, now)
+		if perr != nil {
+			perr = fmt.Errorf("%w: %d + %d samples", ErrFeedOverflow, r.Next(), len(pcm))
 		}
-		ing.plain = true
-		ing.mu.Unlock()
-	}
-	if ferr := sn.as.Feed(role, pcm); ferr != nil {
-		return sn.fail(ferr)
-	}
-	// Only a successful feed resets the idle clock: refused chunks
-	// (overflow, injected faults) are not progress, so a client spamming
-	// garbage still stalls out.
-	sn.lastFeed.Store(time.Now().UnixNano())
-	return nil
-}
-
-// ingestFor returns the role's ingest cell (nil for an unknown role, which
-// the engine then rejects with its own typed error).
-func (sn *Session) ingestFor(role core.Role) *roleIngest {
-	if int(role) < 0 || int(role) >= len(sn.ingest) {
-		return nil
-	}
-	return &sn.ingest[int(role)]
+		return dv, fresh, perr
+	})
 }
 
 // FeedFrame ingests one framed chunk of the role's recording from a lossy
@@ -332,77 +328,100 @@ func (sn *Session) ingestFor(role core.Role) *roleIngest {
 // and to the batch pipeline.
 //
 // Typed failures, all leaving the session open: ErrFrameCorrupt (CRC
-// mismatch — the frame is rejected whole and never scored; resend it),
-// ErrFrameRange (samples outside the declared recording), ErrMixedFeed
-// (the role already committed to plain Feed). When buffered audio runs
-// more than the reorder window past the in-order frontier, the oldest gap
-// is declared lost instead of waiting — and once cumulative loss crosses
-// the detect ceiling the session resolves to ErrInsufficientAudio (fatal,
-// slot released). ErrStreamDecided, ErrInternal, and context errors follow
-// Feed's taxonomy.
+// mismatch — the frame is rejected whole and never scored; resend it) and
+// ErrFrameRange (samples outside the declared recording). When buffered
+// audio runs more than the reorder window past the in-order frontier, the
+// oldest gap is declared lost instead of waiting — and once cumulative
+// loss crosses the detect ceiling the session resolves to
+// ErrInsufficientAudio (fatal, slot released). ErrStreamDecided,
+// ErrInternal, and context errors follow Feed's taxonomy.
 func (sn *Session) FeedFrame(role core.Role, f frame.Frame) (err error) {
-	if _, rerr, done := sn.outcome(); done {
-		if rerr != nil {
-			return rerr
-		}
-		return ErrStreamDecided
+	if err := sn.enter(); err != nil {
+		return err
 	}
-	sn.active.Add(1)
-	defer sn.active.Add(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			ie := &InternalError{Panic: r, Stack: debug.Stack()}
-			sn.svc.replenish()
-			sn.resolve(nil, ie)
-			err = ie
-		}
-	}()
+	defer sn.exit(&err)
 	// Chaos hook: perturb framed ingestion (error → one failed frame with
 	// the session open; panic → feeder crash, session resolves internal;
 	// delay → congested transport).
 	if ferr := faultinject.Fire(faultinject.SiteFrameFeed); ferr != nil {
 		return fmt.Errorf("service: frame feed: %w", ferr)
 	}
-	ing := sn.ingestFor(role)
-	if ing == nil {
-		return fmt.Errorf("service: unknown stream role %d", int(role))
+	return sn.ingestStep(role, func(r *frame.Reassembler, now time.Time) ([]frame.Delivery, bool, error) {
+		dv, fresh, ferr := r.Add(f, now)
+		if ferr != nil {
+			ferr = fmt.Errorf("service: frame rejected: %w", ferr)
+		}
+		return dv, fresh, ferr
+	})
+}
+
+// FinishFeed declares the role's transport finished: every gap still
+// awaiting retransmission and the entire unreceived tail of the recording
+// are declared lost, unlocking whatever audio was buffered behind them.
+// After FinishFeed the role is fully fed (data plus loss), so TryResult
+// will either decide from the surviving windows or report
+// ErrInsufficientAudio — it will never wait for more audio from this role.
+// A role never fed has its whole recording declared lost. Idempotent.
+func (sn *Session) FinishFeed(role core.Role) (err error) {
+	if err := sn.enter(); err != nil {
+		return err
 	}
-	ing.mu.Lock()
+	defer sn.exit(&err)
+	return sn.ingestStep(role, func(r *frame.Reassembler, _ time.Time) ([]frame.Delivery, bool, error) {
+		return r.Flush(), false, nil
+	})
+}
+
+// ingestStep runs one step on the role's reassembler under its lock and
+// replays the deliveries it unlocked into the scan; a step that placed
+// fresh samples resets the idle clock. Refused payloads (overflow, corrupt,
+// out of range), duplicates and empty chunks are not progress, so a client
+// spamming them still stalls out. A step's own error is returned after any
+// deliveries (there are none today — a refused payload never advances the
+// frontier — but the order is load-bearing if that ever changes).
+func (sn *Session) ingestStep(role core.Role, step func(*frame.Reassembler, time.Time) ([]frame.Delivery, bool, error)) error {
+	ing, err := sn.lockIngest(role)
+	if err != nil {
+		return err
+	}
 	defer ing.mu.Unlock()
-	if ing.plain {
-		return ErrMixedFeed
+	dv, fresh, serr := step(ing.reasm, time.Now())
+	if err := sn.deliver(role, dv); err != nil {
+		return err
 	}
+	if serr != nil {
+		return serr
+	}
+	if fresh {
+		sn.lastFeed.Store(time.Now().UnixNano())
+	}
+	return nil
+}
+
+// lockIngest returns the role's ingest cell locked, building its
+// reassembler on first use.
+func (sn *Session) lockIngest(role core.Role) (*roleIngest, error) {
+	if int(role) < 0 || int(role) >= len(sn.ingest) {
+		return nil, fmt.Errorf("service: unknown stream role %d", int(role))
+	}
+	ing := &sn.ingest[role]
+	ing.mu.Lock()
 	if ing.reasm == nil {
 		rec := sn.as.Recording(role)
 		if rec == nil {
 			// Pre-decided stream (Bluetooth out of range): no recording to
-			// reassemble against.
-			return ErrStreamDecided
+			// ingest against.
+			ing.mu.Unlock()
+			return nil, ErrStreamDecided
 		}
-		r, rerr := frame.NewReassembler(len(rec), sn.svc.cfg.ReorderWindow)
-		if rerr != nil {
-			return fmt.Errorf("service: %w", rerr)
+		r, err := frame.NewReassembler(len(rec), sn.svc.cfg.ReorderWindow)
+		if err != nil {
+			ing.mu.Unlock()
+			return nil, fmt.Errorf("service: %w", err)
 		}
 		ing.reasm = r
 	}
-	dv, fresh, ferr := ing.reasm.Add(f, time.Now())
-	if derr := sn.deliver(role, dv); derr != nil {
-		return derr
-	}
-	if ferr != nil {
-		// Typed rejection (corrupt, out of range): nothing was ingested and
-		// the session stays open. Returned after any deliveries the frame's
-		// arrival unblocked structurally (there are none today — rejected
-		// frames never advance the frontier — but the order is load-bearing
-		// if that ever changes).
-		return fmt.Errorf("service: frame rejected: %w", ferr)
-	}
-	if fresh {
-		// Only a frame that contributed new samples resets the idle clock:
-		// duplicate spam must not keep a stalled session alive forever.
-		sn.lastFeed.Store(time.Now().UnixNano())
-	}
-	return nil
+	return ing, nil
 }
 
 // deliver replays the reassembler's in-order deliveries into the scan
@@ -425,91 +444,36 @@ func (sn *Session) deliver(role core.Role, dv []frame.Delivery) error {
 	return nil
 }
 
-// FinishFeed declares the role's lossy transport finished: every gap still
-// awaiting retransmission and the entire unreceived tail of the recording
-// are declared lost, unlocking whatever audio was buffered behind them.
-// After FinishFeed the role is fully fed (data plus loss), so TryResult
-// will either decide from the surviving windows or report
-// ErrInsufficientAudio — it will never wait for more audio from this role.
-// Only meaningful for framed roles; a role committed to plain Feed gets
-// ErrMixedFeed. Idempotent.
-func (sn *Session) FinishFeed(role core.Role) (err error) {
-	if _, rerr, done := sn.outcome(); done {
-		if rerr != nil {
-			return rerr
-		}
-		return ErrStreamDecided
-	}
-	sn.active.Add(1)
-	defer sn.active.Add(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			ie := &InternalError{Panic: r, Stack: debug.Stack()}
-			sn.svc.replenish()
-			sn.resolve(nil, ie)
-			err = ie
-		}
-	}()
-	ing := sn.ingestFor(role)
-	if ing == nil {
-		return fmt.Errorf("service: unknown stream role %d", int(role))
-	}
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	if ing.plain {
-		return ErrMixedFeed
-	}
-	if ing.reasm == nil {
-		rec := sn.as.Recording(role)
-		if rec == nil {
-			return ErrStreamDecided
-		}
-		// No frame ever arrived: the whole recording is the tail, and
-		// Flush below declares all of it lost (which resolves the session
-		// ErrInsufficientAudio through the ceiling — the honest outcome for
-		// a transport that delivered nothing).
-		r, rerr := frame.NewReassembler(len(rec), sn.svc.cfg.ReorderWindow)
-		if rerr != nil {
-			return fmt.Errorf("service: %w", rerr)
-		}
-		ing.reasm = r
-	}
-	return sn.deliver(role, ing.reasm.Flush())
-}
-
-// FrameStats returns the role's framed-transport counters (zero for a role
-// never fed through FeedFrame).
+// FrameStats returns the role's ingestion counters: Feed chunks and frames
+// alike (zero for a role never fed).
 func (sn *Session) FrameStats(role core.Role) frame.Stats {
-	ing := sn.ingestFor(role)
-	if ing == nil {
+	ing, err := sn.lockIngest(role)
+	if err != nil {
 		return frame.Stats{}
 	}
-	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	if ing.reasm == nil {
-		return frame.Stats{}
-	}
 	return ing.reasm.Stats()
 }
 
 // expireGaps is the lifecycle watchdog's entry point for the wall-clock
 // gap-repair bound: any leading reassembly gap older than timeout is
 // declared lost, releasing the audio buffered behind it into the scan. A
-// panic out of the replay (a scan-worker crash) resolves the session to
-// ErrInternal exactly as a Feed-path panic would.
+// role whose lock is held is skipped — it is being fed, which is progress,
+// and the next sweep retries it — so the watchdog never waits behind a
+// feed's scan. A panic out of the replay (a scan-worker crash) resolves
+// the session to ErrInternal exactly as a Feed-path panic would.
 func (sn *Session) expireGaps(now time.Time, timeout time.Duration) {
 	defer func() {
 		if r := recover(); r != nil {
-			ie := &InternalError{Panic: r, Stack: debug.Stack()}
-			sn.svc.replenish()
-			sn.resolve(nil, ie)
+			sn.crash(r)
 		}
 	}()
 	for r := range sn.ingest {
-		role := core.Role(r)
 		ing := &sn.ingest[r]
+		if !ing.mu.TryLock() {
+			continue
+		}
 		func() {
-			ing.mu.Lock()
 			defer ing.mu.Unlock() // deferred: a panicking replay must not wedge the role
 			if ing.reasm == nil {
 				return
@@ -518,7 +482,7 @@ func (sn *Session) expireGaps(now time.Time, timeout time.Duration) {
 				// The error (insufficient audio, cancellation) resolves the
 				// session inside fail; the watchdog itself has no caller to
 				// report to.
-				_ = sn.deliver(role, dv)
+				_ = sn.deliver(core.Role(r), dv)
 			}
 		}()
 	}
@@ -532,19 +496,11 @@ func (sn *Session) expireGaps(now time.Time, timeout time.Duration) {
 // AuthenticateContext on the same request — fed any chunking, at any
 // GOMAXPROCS, decided at the horizon or after the full feed.
 func (sn *Session) TryResult() (res *core.Result, need int, err error) {
-	if r, rerr, done := sn.outcome(); done {
+	if sn.enter() != nil {
+		r, rerr, _ := sn.outcome()
 		return r, 0, rerr
 	}
-	sn.active.Add(1)
-	defer sn.active.Add(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			ie := &InternalError{Panic: r, Stack: debug.Stack()}
-			sn.svc.replenish()
-			sn.resolve(nil, ie)
-			res, need, err = nil, 0, ie
-		}
-	}()
+	defer sn.exit(&err)
 	r, need, terr := sn.as.TryResult()
 	if terr != nil {
 		return nil, 0, sn.fail(terr)

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -38,44 +37,6 @@ func feedSession(t *testing.T, sn *Session, chunk int, limitAuth, limitVouch int
 				t.Fatalf("feed %v [%d, %d): %v", role, at[role], end, err)
 			}
 			at[role] = end
-		}
-	}
-}
-
-// TestSessionStreamBitIdenticalAnyChunking is the service-level property
-// test: a streaming session fed 1-sample, prime-sized, block-aligned, and
-// whole-recording chunks must decide bit-identically to Authenticate on the
-// same request, at GOMAXPROCS 1, 2, 4, and 8.
-func TestSessionStreamBitIdenticalAnyChunking(t *testing.T) {
-	svc := newService(t, 0)
-	defer svc.Close()
-	req := pairRequest(0.8, 41)
-	want, err := svc.Authenticate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 2, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		for _, chunk := range []int{1, 1009, 4000, 1 << 30} {
-			if chunk == 1 && procs > 1 && testing.Short() {
-				continue
-			}
-			sn, err := svc.OpenSession(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedSession(t, sn, chunk, 0, 0)
-			res, err := sn.Result()
-			if err != nil {
-				t.Fatalf("procs=%d chunk=%d: %v", procs, chunk, err)
-			}
-			if !sameDecision(res, want) {
-				t.Fatalf("procs=%d chunk=%d: streamed decision diverged:\nstream %+v\nbatch  %+v",
-					procs, chunk, res, want)
-			}
 		}
 	}
 }

@@ -78,6 +78,19 @@ func TestRetryLoadRecoversSheds(t *testing.T) {
 	svc := undersizedService(t)
 	defer svc.Close()
 
+	// One session's service time on this service (warm, uncontended): the
+	// backoff below scales with it, so the retry horizon spans several
+	// service times however slow the build (-race) or the machine.
+	start := time.Now()
+	if _, err := svc.Authenticate(AuthRequest{
+		Auth:  DeviceSpec{Name: "hub", X: 0, Y: 0, ClockSkewPPM: 15},
+		Vouch: DeviceSpec{Name: "watch", X: 0.3, Y: 0, ClockSkewPPM: -20},
+		Seed:  299,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	serviceTime := time.Since(start)
+
 	// Pass 1, no retries: with one slot and a one-deep queue, at least
 	// clients-2 of the burst must shed at the door.
 	completed, shed := burst(t, svc, clients, nil)
@@ -90,10 +103,12 @@ func TestRetryLoadRecoversSheds(t *testing.T) {
 
 	// Pass 2, with retries: generous attempt budget, jittered backoff so the
 	// shed clients re-offer staggered instead of stampeding back in step.
+	// The first retry waits about one service time and the cap is four, so
+	// the nine retries span ~30 service times.
 	policy := &RetryPolicy{
 		MaxAttempts: 10,
-		BaseDelay:   5 * time.Millisecond,
-		MaxDelay:    80 * time.Millisecond,
+		BaseDelay:   serviceTime,
+		MaxDelay:    4 * serviceTime,
 		Jitter:      0.4,
 	}
 	completedR, shedR := burst(t, svc, clients, policy)
@@ -107,8 +122,8 @@ func TestRetryLoadRecoversSheds(t *testing.T) {
 	if shedR >= shed {
 		t.Fatalf("retries did not reduce sheds: %d without, %d with", shed, shedR)
 	}
-	t.Logf("unretried: %d/%d completed; with retry: %d/%d (recovered %d sheds)",
-		completed, clients, completedR, clients, completedR-completed)
+	t.Logf("service time %v; unretried: %d/%d completed; with retry: %d/%d (recovered %d sheds)",
+		serviceTime, completed, clients, completedR, clients, completedR-completed)
 }
 
 // TestRetryLoadScheduleDeterministic: the backoff schedule a shed client

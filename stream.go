@@ -51,9 +51,6 @@ var (
 	// recording or contradict already-delivered audio. Rejected whole;
 	// session open.
 	ErrFrameRange = service.ErrFrameRange
-	// ErrMixedFeed: a role was fed through both Feed and FeedFrame; each
-	// role commits to one transport on its first feed.
-	ErrMixedFeed = service.ErrMixedFeed
 )
 
 // Frame is one wire chunk of a role's PCM on a lossy transport: a sequence
@@ -63,8 +60,9 @@ var (
 // DecodeFrame.
 type Frame = frame.Frame
 
-// FrameStats counts one role's framed-transport traffic: accepted frames,
-// duplicates, CRC rejections, range rejections, and samples declared lost.
+// FrameStats counts one role's ingestion traffic, Feed chunks and frames
+// alike: accepted payloads, duplicates, CRC rejections, range rejections,
+// and samples declared lost.
 type FrameStats = frame.Stats
 
 // Degraded reports how much audio a decided session lost to the transport
@@ -141,8 +139,7 @@ func wrapSessionErr(err error) error {
 		errors.Is(err, ErrSessionReaped),
 		errors.Is(err, ErrInsufficientAudio),
 		errors.Is(err, ErrFrameCorrupt),
-		errors.Is(err, ErrFrameRange),
-		errors.Is(err, ErrMixedFeed):
+		errors.Is(err, ErrFrameRange):
 		return err
 	}
 	return fmt.Errorf("piano: %w", err)
@@ -162,11 +159,13 @@ func (a *AuthSession) EarlyFeedLen(role Role) int { return a.sn.EarlyFeedLen(rol
 // Fed returns how many samples of the role's recording have arrived.
 func (a *AuthSession) Fed(role Role) int { return a.sn.Fed(role) }
 
-// Feed ingests one chunk of the role's audio and advances its detection
-// incrementally. Typed failures: ErrFeedOverflow (chunk rejected whole,
-// session open), ErrStreamDecided (decision already made), ErrInternal
-// (the session died to a recovered panic and released its slot), or the
-// session context's error once canceled.
+// Feed ingests the next chunk of the role's audio, in order after
+// everything fed so far, and advances its detection incrementally. Typed
+// failures: ErrFeedOverflow (chunk rejected whole, session open),
+// ErrStreamDecided (decision already made), ErrInternal (the session died
+// to a recovered panic and released its slot), or the session context's
+// error once canceled. A role may mix Feed and FeedFrame: both go through
+// the role's one reassembler, Feed placing its chunk at the frontier.
 func (a *AuthSession) Feed(role Role, pcm []int16) error {
 	return wrapSessionErr(a.sn.Feed(role, pcm))
 }
@@ -177,25 +176,24 @@ func (a *AuthSession) Feed(role Role, pcm []int16) error {
 // ReorderWindow — into the same scan path Feed uses, so a framed session
 // on a clean transport decides bit-identically to Feed and to batch.
 // Typed failures leaving the session open: ErrFrameCorrupt (resend it),
-// ErrFrameRange, ErrMixedFeed. Gaps unrepaired past the reorder window
-// (or GapRepairTimeout) are declared lost: their windows are excluded
-// from scoring, and a session losing more than the detect ceiling — or
-// audio the decision would have to trust — resolves ErrInsufficientAudio.
+// ErrFrameRange. Gaps unrepaired past the reorder window (or
+// GapRepairTimeout) are declared lost: their windows are excluded from
+// scoring, and a session losing more than the detect ceiling — or audio
+// the decision would have to trust — resolves ErrInsufficientAudio.
 func (a *AuthSession) FeedFrame(role Role, f Frame) error {
 	return wrapSessionErr(a.sn.FeedFrame(role, f))
 }
 
-// FinishFeed declares the role's lossy transport finished: outstanding
-// gaps and the unreceived tail are declared lost, so Result will either
-// decide from the surviving audio or report ErrInsufficientAudio rather
-// than wait forever. Idempotent; framed roles only (ErrMixedFeed
-// otherwise).
+// FinishFeed declares the role's transport finished: outstanding gaps and
+// the unreceived tail are declared lost, so Result will either decide from
+// the surviving audio or report ErrInsufficientAudio rather than wait
+// forever. Works for any role, however it was fed. Idempotent.
 func (a *AuthSession) FinishFeed(role Role) error {
 	return wrapSessionErr(a.sn.FinishFeed(role))
 }
 
-// FrameStats returns the role's framed-transport counters (zero for a
-// role fed through plain Feed).
+// FrameStats returns the role's ingestion counters, Feed chunks included
+// (zero for a role never fed).
 func (a *AuthSession) FrameStats(role Role) FrameStats { return a.sn.FrameStats(role) }
 
 // TryResult attempts the decision over the audio fed so far: need > 0
