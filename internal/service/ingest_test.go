@@ -67,53 +67,54 @@ func feedAlternating(t *testing.T, sn *Session, role core.Role, chunk int) {
 	}
 }
 
-// TestSessionIngestBitIdentical is the service-level ingestion property:
-// whatever way the audio arrives — Feed in fixed chunks of any size,
-// arrival-model chunks (jitter, underrun bursts), clean-wire frames, or
-// Feed and FeedFrame mixed across and within roles — the session decides
-// bit-identically to batch Authenticate with no degradation, at GOMAXPROCS
-// 1, 2, 4, and 8. A partial Feed closed by FinishFeed never leaves the
-// session waiting: it decides degraded or refuses typed.
-func TestSessionIngestBitIdentical(t *testing.T) {
+// ingestSchedule is one way of delivering a session's audio.
+type ingestSchedule struct {
+	name string
+	feed func(t *testing.T, sn *Session)
+}
+
+// chunkSchedules feed both roles with Feed in fixed chunks: one sample, a
+// prime, a block multiple, and the whole recording at once.
+func chunkSchedules() []ingestSchedule {
+	var out []ingestSchedule
+	for _, chunk := range []int{1, 1009, 4000, 1 << 30} {
+		out = append(out, ingestSchedule{fmt.Sprintf("chunk-%d", chunk), func(t *testing.T, sn *Session) {
+			feedSession(t, sn, chunk, 0, 0)
+		}})
+	}
+	return out
+}
+
+// arrivalCfg is the live-microphone traffic model the arrival schedules
+// draw from: jittered chunk sizes and underrun backlog bursts.
+var arrivalCfg = arrival.Config{Jitter: 0.4, UnderrunProb: 0.25}
+
+// arrivalSchedules feed both roles with arrival-model chunks, a different
+// seed per role, for eight seeds.
+func arrivalSchedules() []ingestSchedule {
+	var out []ingestSchedule
+	for seed := int64(1); seed <= 8; seed++ {
+		out = append(out, ingestSchedule{fmt.Sprintf("arrival-%d", seed), func(t *testing.T, sn *Session) {
+			feedArrival(t, sn, core.RoleAuth, arrivalCfg, seed)
+			feedArrival(t, sn, core.RoleVouch, arrivalCfg, seed+1000)
+		}})
+	}
+	return out
+}
+
+// checkIngestBitIdentical opens a session on pairRequest(0.8, reqSeed) for
+// every schedule at GOMAXPROCS 1, 2, 4, and 8 and requires each to decide
+// bit-identically (Float64bits) to batch Authenticate with no degradation.
+// A non-nil extra runs once per GOMAXPROCS setting after the schedules.
+func checkIngestBitIdentical(t *testing.T, reqSeed int64, schedules []ingestSchedule, extra func(t *testing.T, svc *AuthService, req Request, procs int)) {
+	t.Helper()
 	svc := newService(t, 0)
 	defer svc.Close()
-	req := pairRequest(0.8, 41)
+	req := pairRequest(0.8, reqSeed)
 	want, err := svc.Authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	type schedule struct {
-		name string
-		feed func(t *testing.T, sn *Session)
-	}
-	var schedules []schedule
-	for _, chunk := range []int{1, 1009, 4000, 1 << 30} {
-		schedules = append(schedules, schedule{fmt.Sprintf("chunk-%d", chunk), func(t *testing.T, sn *Session) {
-			feedSession(t, sn, chunk, 0, 0)
-		}})
-	}
-	cfg := arrival.Config{Jitter: 0.4, UnderrunProb: 0.25}
-	for seed := int64(1); seed <= 8; seed++ {
-		schedules = append(schedules, schedule{fmt.Sprintf("arrival-%d", seed), func(t *testing.T, sn *Session) {
-			feedArrival(t, sn, core.RoleAuth, cfg, seed)
-			feedArrival(t, sn, core.RoleVouch, cfg, seed+1000)
-		}})
-	}
-	schedules = append(schedules,
-		schedule{"clean-wire", func(t *testing.T, sn *Session) {
-			feedCleanWire(t, sn, core.RoleAuth, 31)
-			feedCleanWire(t, sn, core.RoleVouch, 32)
-		}},
-		schedule{"feed-and-frames", func(t *testing.T, sn *Session) {
-			feedArrival(t, sn, core.RoleAuth, cfg, 9)
-			feedCleanWire(t, sn, core.RoleVouch, 33)
-		}},
-		schedule{"alternating", func(t *testing.T, sn *Session) {
-			feedAlternating(t, sn, core.RoleAuth, 4000)
-			feedAlternating(t, sn, core.RoleVouch, 1009)
-		}},
-	)
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -137,7 +138,55 @@ func TestSessionIngestBitIdentical(t *testing.T) {
 					procs, sc.name, res, want)
 			}
 		}
+		if extra != nil {
+			extra(t, svc, req, procs)
+		}
+	}
+}
 
+// TestSessionStreamBitIdenticalAnyChunking: Feed in fixed chunks of any
+// size — down to one sample — decides bit-identically to batch.
+func TestSessionStreamBitIdenticalAnyChunking(t *testing.T) {
+	checkIngestBitIdentical(t, 41, chunkSchedules(), nil)
+}
+
+// TestSessionArrivalBitIdentical is the arrival-model determinism contract
+// at the service level: a session fed by the live-microphone traffic model
+// decides bit-identically to batch for every arrival seed.
+func TestSessionArrivalBitIdentical(t *testing.T) {
+	checkIngestBitIdentical(t, 59, arrivalSchedules(), nil)
+}
+
+// TestSessionFramedCleanBitIdentical: a framed session on a clean
+// transport — frames in order, intact, nothing lost — decides
+// bit-identically to batch and reports no degradation.
+func TestSessionFramedCleanBitIdentical(t *testing.T) {
+	checkIngestBitIdentical(t, 73, []ingestSchedule{{"clean-wire", func(t *testing.T, sn *Session) {
+		feedCleanWire(t, sn, core.RoleAuth, 31)
+		feedCleanWire(t, sn, core.RoleVouch, 32)
+	}}}, nil)
+}
+
+// TestSessionIngestBitIdentical is the service-level ingestion property
+// over the mixed paths: Feed and FeedFrame across roles and alternating
+// within a role land on the role's one reassembler and decide
+// bit-identically to batch, at GOMAXPROCS 1, 2, 4, and 8. A partial Feed
+// closed by FinishFeed never leaves the session waiting: it decides
+// degraded or refuses typed. The pure paths — fixed chunks, arrival-model
+// chunks, clean-wire frames — are the three tests above, run through the
+// same check.
+func TestSessionIngestBitIdentical(t *testing.T) {
+	schedules := []ingestSchedule{
+		{"feed-and-frames", func(t *testing.T, sn *Session) {
+			feedArrival(t, sn, core.RoleAuth, arrivalCfg, 9)
+			feedCleanWire(t, sn, core.RoleVouch, 33)
+		}},
+		{"alternating", func(t *testing.T, sn *Session) {
+			feedAlternating(t, sn, core.RoleAuth, 4000)
+			feedAlternating(t, sn, core.RoleVouch, 1009)
+		}},
+	}
+	checkIngestBitIdentical(t, 41, schedules, func(t *testing.T, svc *AuthService, req Request, procs int) {
 		// FinishFeed after a partial Feed declares the rest lost: the
 		// session must end, degraded or refused typed, never pending.
 		for _, frac := range []int{4, 2} {
@@ -166,5 +215,5 @@ func TestSessionIngestBitIdentical(t *testing.T) {
 				t.Fatalf("procs=%d cut 1/%d: lossy decision not reported degraded: %+v", procs, frac, res)
 			}
 		}
-	}
+	})
 }
