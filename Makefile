@@ -30,8 +30,10 @@ test-race:
 # starvation, mid-scan cancellation, worker panics, slow-scan stalls) must
 # resolve every request to a typed error or a bit-identical result and
 # leave the service serviceable (ARCHITECTURE.md "Failure semantics").
+# The batch Close/cancel/panic tests run with it: batch sessions share the
+# streaming Session lifecycle these failure paths run through.
 test-chaos:
-	$(GO) test -race -run TestChaos ./internal/service/ ./internal/faultinject/
+	$(GO) test -race -count=3 -run 'TestChaos|TestServiceClose|TestServiceCancel|TestServicePanic|TestServicePreCanceled' ./internal/service/ ./internal/faultinject/
 
 # Session-lifecycle suite under the race detector: watchdog reaping
 # (stalled/expired sessions resolve typed, slots come back after abandoned-

@@ -86,9 +86,10 @@ type SessionStream struct {
 
 // OpenACTIONStream runs Steps I–III of a session (signal construction,
 // descriptor exchange, timeline, scene render) and returns a stream that
-// performs Step IV incrementally. Only the frequency-detection pipeline
-// streams; the ACTION-CC baseline is batch-only. See RunACTIONWith for the
-// rng contract.
+// performs Step IV incrementally — or, when fed is set, one born fed (see
+// newSessionStream) that decides at once. Only the frequency-detection
+// pipeline streams; the ACTION-CC baseline is batch-only. See
+// RunACTIONWith for the rng contract.
 func OpenACTIONStream(
 	deps SessionDeps,
 	cfg Config,
@@ -96,6 +97,7 @@ func OpenACTIONStream(
 	linkAuth, linkVouch *bluetooth.Link,
 	rng *rand.Rand,
 	extras []ExtraPlay,
+	fed bool,
 ) (*SessionStream, error) {
 	if cfg.Mode != DetectFrequency {
 		return nil, errors.New("core: streaming sessions require the frequency-detection mode")
@@ -104,7 +106,7 @@ func OpenACTIONStream(
 	if err != nil {
 		return nil, err
 	}
-	return newSessionStream(p, false)
+	return newSessionStream(p, fed)
 }
 
 // newSessionStream opens one Step-IV stream per device over p's rendered
@@ -313,6 +315,18 @@ func (a *Authenticator) OpenStream(extras ...ExtraPlay) (*AuthStream, error) {
 // TryResult immediately returns the denial, and Feed reports
 // ErrStreamDecided.
 func (a *Authenticator) OpenStreamContext(ctx context.Context, extras ...ExtraPlay) (*AuthStream, error) {
+	return a.openStream(ctx, false, extras)
+}
+
+// OpenFedStreamContext is OpenStreamContext born fed: each role's stream
+// borrows its whole rendered recording (no copy) and is scanned before the
+// call returns, so TryResult decides at once, bit-identically to
+// AuthenticateContext. Scan errors (ctx's, a worker panic) surface here.
+func (a *Authenticator) OpenFedStreamContext(ctx context.Context, extras ...ExtraPlay) (*AuthStream, error) {
+	return a.openStream(ctx, true, extras)
+}
+
+func (a *Authenticator) openStream(ctx context.Context, fed bool, extras []ExtraPlay) (*AuthStream, error) {
 	if !a.linkAuth.InRange() {
 		return &AuthStream{
 			a:    a,
@@ -320,7 +334,7 @@ func (a *Authenticator) OpenStreamContext(ctx context.Context, extras ...ExtraPl
 			res:  &Result{Granted: false, Reason: ReasonBluetoothOutOfRange},
 		}, nil
 	}
-	ss, err := OpenACTIONStream(SessionDeps{Detector: a.det, Ctx: ctx}, a.cfg, a.auth, a.vouch, a.linkAuth, a.linkVouch, a.rng, extras)
+	ss, err := OpenACTIONStream(SessionDeps{Detector: a.det, Ctx: ctx}, a.cfg, a.auth, a.vouch, a.linkAuth, a.linkVouch, a.rng, extras, fed)
 	if err != nil {
 		return nil, err
 	}

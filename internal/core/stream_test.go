@@ -20,7 +20,7 @@ func openStream(t *testing.T, seed int64) *SessionStream {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := OpenACTIONStream(SessionDeps{}, cfg, auth, vouch, la, lv, rand.New(rand.NewSource(seed)), nil)
+	ss, err := OpenACTIONStream(SessionDeps{}, cfg, auth, vouch, la, lv, rand.New(rand.NewSource(seed)), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestOpenStreamRejectsCCMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenACTIONStream(SessionDeps{}, cfg, auth, vouch, la, lv, rand.New(rand.NewSource(1)), nil); err == nil {
+	if _, err := OpenACTIONStream(SessionDeps{}, cfg, auth, vouch, la, lv, rand.New(rand.NewSource(1)), nil, false); err == nil {
 		t.Fatal("CC-mode stream accepted")
 	}
 }

@@ -46,6 +46,11 @@
 // (ErrNeedMoreAudio, ErrFeedOverflow, ErrStreamDecided) report misuse
 // without resolving the session.
 //
+// One session lifecycle: AuthenticateContext is a Session born fed (each
+// role's scan borrows its whole recording) that the service resolves
+// itself, so it is never registered for the watchdog or Close to reap.
+// New rejects a non-frequency Core.Mode (ErrConfig): it cannot stream.
+//
 // One ingestion path: every byte of session audio enters through the
 // role's frame.Reassembler. Feed places a chunk at the role's delivery
 // frontier (no CRC; an in-order chunk is delivered as-is, without a copy),

@@ -102,10 +102,29 @@ func arrivalSchedules() []ingestSchedule {
 	return out
 }
 
+// serialAuthenticate is the service tests' independent oracle: the serial
+// core pipeline on the request's buildSession output, through
+// core.Authenticator.AuthenticateContext — no Session, no admission, so
+// it shares nothing with the batch or streaming service paths past the
+// session build.
+func serialAuthenticate(t testing.TB, svc *AuthService, req Request) *core.Result {
+	t.Helper()
+	a, plays, err := svc.buildSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.AuthenticateContext(context.Background(), plays...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // checkIngestBitIdentical opens a session on pairRequest(0.8, reqSeed) for
 // every schedule at GOMAXPROCS 1, 2, 4, and 8 and requires each to decide
-// bit-identically (Float64bits) to batch Authenticate with no degradation.
-// A non-nil extra runs once per GOMAXPROCS setting after the schedules.
+// bit-identically (Float64bits) to batch Authenticate and to the serial
+// core oracle, with no degradation. A non-nil extra runs once per
+// GOMAXPROCS setting after the schedules.
 func checkIngestBitIdentical(t *testing.T, reqSeed int64, schedules []ingestSchedule, extra func(t *testing.T, svc *AuthService, req Request, procs int)) {
 	t.Helper()
 	svc := newService(t, 0)
@@ -114,6 +133,9 @@ func checkIngestBitIdentical(t *testing.T, reqSeed int64, schedules []ingestSche
 	want, err := svc.Authenticate(req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if serial := serialAuthenticate(t, svc, req); !sameDecision(want, serial) {
+		t.Fatalf("batch Authenticate diverged from the serial core path:\nbatch  %+v\nserial %+v", want, serial)
 	}
 
 	prev := runtime.GOMAXPROCS(0)

@@ -156,6 +156,41 @@ func TestLifecycleStalledSessionReaped(t *testing.T) {
 	assertNoLeak(t, svc)
 }
 
+// TestServiceLifecycleBatchNotReaped: the lifecycle bounds reap sessions a
+// client might abandon. The service drives a batch session to resolution
+// itself and never registers it with the watchdog, so a batch call that
+// outlives both bounds still returns its decision — bit-identical to a
+// clean run — and never ErrSessionReaped.
+func TestServiceLifecycleBatchNotReaped(t *testing.T) {
+	req := pairRequest(0.8, 74)
+	clean := newService(t, 2)
+	want, err := clean.Authenticate(req)
+	clean.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc := newLifecycleService(t, 1, 5*time.Millisecond, 5*time.Millisecond)
+	defer svc.Close()
+	faultinject.Enable(1)
+	defer faultinject.Disable()
+	faultinject.Arm(faultinject.SiteDetectBlock, faultinject.Fault{
+		Action: faultinject.ActDelay, Delay: 25 * time.Millisecond, Times: 1,
+	})
+	start := time.Now()
+	got, err := svc.Authenticate(req)
+	if err != nil {
+		t.Fatalf("batch session past both lifecycle bounds failed: %v", err)
+	}
+	if d := time.Since(start); faultinject.Hits(faultinject.SiteDetectBlock) != 1 || d <= 20*time.Millisecond {
+		t.Fatalf("scan delay never held the session past the bounds (%d hits, %v)", faultinject.Hits(faultinject.SiteDetectBlock), d)
+	}
+	if !sameDecision(got, want) {
+		t.Fatalf("batch decision diverged from a clean run:\ngot  %+v\nwant %+v", got, want)
+	}
+	assertNoLeak(t, svc)
+}
+
 // TestLifecycleExpiredSessionReaped: SessionMaxLifetime bounds the whole
 // open→resolution span even for a session that keeps feeding — the
 // trickle-feeder that the idle bound can never catch.

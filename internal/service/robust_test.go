@@ -14,8 +14,8 @@ import (
 	"github.com/acoustic-auth/piano/internal/faultinject"
 )
 
-// blockSession arms the session fault site so the next session parks inside
-// runSession (holding its slot) until release is closed. Returns a channel
+// blockSession arms the session fault site so the next session parks in
+// its open phase (holding its slot) until release is closed. Returns a channel
 // that closes once the session has entered the hook.
 func blockSession(t *testing.T, release chan struct{}) chan struct{} {
 	t.Helper()

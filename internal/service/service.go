@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"github.com/acoustic-auth/piano/internal/detect"
 	"github.com/acoustic-auth/piano/internal/device"
 	"github.com/acoustic-auth/piano/internal/dsp"
-	"github.com/acoustic-auth/piano/internal/faultinject"
 )
 
 // ErrClosed is returned by Authenticate after Close has begun: both for
@@ -175,7 +173,7 @@ type AuthService struct {
 	waiters  int // requests currently queued for a slot
 	inFlight sync.WaitGroup
 	sessions uint64
-	streams  map[*Session]struct{} // open streaming sessions (force-resolved on Close)
+	streams  map[*Session]struct{} // open client sessions (reaped by the watchdog, force-resolved on Close)
 }
 
 // New validates cfg and builds the service's one detection engine: the
@@ -374,10 +372,12 @@ func (s *AuthService) Authenticate(req Request) (*core.Result, error) {
 }
 
 // AuthenticateContext runs one complete PIANO session under ctx and
-// returns the access decision. The session's scans are batched through the
-// service's shared worker pool; a session that completes is bit-identical
-// to a serial run of the same request. Failure semantics (see also
-// ARCHITECTURE.md "Failure semantics"):
+// returns the access decision: a Session born fed (scanned through the
+// shared worker pool as it opens), resolved before returning and
+// bit-identical to a serial run of the same request. It is never
+// registered for reaping: Close drains it, and the lifecycle bounds never
+// apply to it. Failure semantics (see also ARCHITECTURE.md "Failure
+// semantics"):
 //
 //   - invalid request parameters error before admission;
 //   - admission sheds with ErrOverloaded past MaxQueueWait/MaxQueueDepth,
@@ -391,78 +391,22 @@ func (s *AuthService) Authenticate(req Request) (*core.Result, error) {
 //     poisoned scan workspace is discarded, and a replacement is
 //     re-prewarmed — the service keeps serving.
 func (s *AuthService) AuthenticateContext(ctx context.Context, req Request) (*core.Result, error) {
-	if err := validateRequest(req); err != nil {
-		return nil, err
-	}
-	// Chaos hook: lets tests and piano-serve perturb admission itself
-	// (delay → queue pressure, error → forced shed).
-	if err := faultinject.Fire(faultinject.SiteServiceAcquire); err != nil {
-		return nil, err
-	}
-	if err := s.begin(ctx); err != nil {
-		return nil, err
-	}
-	defer s.end()
-
-	res, err := s.runSession(ctx, req)
-	if err != nil {
-		// Panics recovered inside the scan engine arrive as
-		// *detect.PanicError; fold them into the service's typed internal
-		// error.
-		var pe *detect.PanicError
-		if errors.As(err, &pe) {
-			err = &InternalError{Panic: pe.Value, Stack: pe.Stack}
-		}
-		if errors.Is(err, ErrInternal) {
-			s.replenish()
-		}
-		return nil, err
-	}
-	s.mu.Lock()
-	s.sessions++
-	s.mu.Unlock()
-	return res, nil
-}
-
-// runSession executes the admitted session. Panic isolation for the
-// session goroutine itself lives here: whatever the pipeline panics with
-// (world render, protocol plumbing, an injected fault) is recovered into a
-// typed *InternalError instead of crashing the process, and the shared
-// detector/pool stay serviceable.
-func (s *AuthService) runSession(ctx context.Context, req Request) (res *core.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &InternalError{Panic: r, Stack: debug.Stack()}
-		}
-	}()
-	// Chaos hook: a panic here simulates a session-goroutine crash; a
-	// delay holds a session slot (slot starvation for queued requests).
-	if err := faultinject.Fire(faultinject.SiteServiceSession); err != nil {
-		return nil, err
-	}
-
-	a, plays, err := s.buildSession(req)
+	sn, err := s.open(ctx, req, false)
 	if err != nil {
 		return nil, err
 	}
-	res, err = a.AuthenticateContext(ctx, plays...)
+	res, err := sn.Result()
 	if err != nil {
-		// Cancellation comes back as ctx.Err() itself, not wrapped in scan
-		// provenance: the caller canceled, so "which device's scan noticed
-		// first" is scheduling noise, and the bare sentinel is what callers
-		// compare against.
-		if ctxe := ctx.Err(); ctxe != nil && errors.Is(err, ctxe) {
-			return nil, ctxe
-		}
-		return nil, fmt.Errorf("service: %w", err)
+		sn.resolve(nil, err) // a batch session ends with its call
+		return nil, err
 	}
 	return res, nil
 }
 
 // buildSession constructs one session's devices, interferers, seeded RNG,
-// and authenticator (with the service's detector attached) from a
-// request — the part of the pipeline common to the batch path (runSession)
-// and the streaming path (OpenSession), so both build sessions identically.
+// and authenticator (with the service's detector attached) from a request.
+// Batch and streaming sessions both open through it, and its RNG draws
+// follow the serial Deployment path's order.
 func (s *AuthService) buildSession(req Request) (*core.Authenticator, []core.ExtraPlay, error) {
 	cfg := s.sessionConfig(req)
 

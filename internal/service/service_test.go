@@ -1,8 +1,10 @@
 package service
 
 import (
+	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -206,5 +208,12 @@ func TestServiceRejectsBadConfig(t *testing.T) {
 	bad.ThresholdM = -1
 	if _, err := New(Config{Core: bad}); err == nil {
 		t.Fatal("invalid core config accepted")
+	}
+	// Every service session streams, and the cross-correlation baseline
+	// cannot: a CC service would fail every request, so New refuses it.
+	cc := core.DefaultConfig()
+	cc.Mode = core.DetectCrossCorrelation
+	if _, err := New(Config{Core: cc}); !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "Core.Mode") {
+		t.Fatalf("cross-correlation mode returned %v, want ErrConfig naming Core.Mode", err)
 	}
 }

@@ -47,9 +47,10 @@ var (
 // Session is one admitted streaming authentication session: Steps I–III
 // already ran, and the session now consumes each role's microphone PCM in
 // chunks, deciding as soon as both recordings have revealed their signals —
-// typically well before either recording is complete.
+// typically well before either recording is complete. AuthenticateContext
+// runs the same Session born fed and resolves it before returning.
 //
-// A Session occupies one of the service's MaxSessions slots from OpenSession
+// A Session occupies one of the service's MaxSessions slots from open
 // until it resolves — by decision, by error, by Close (either the session's
 // or the service's), by context cancellation, or by the lifecycle watchdog
 // (ErrSessionStalled past Config.SessionIdleTimeout, ErrSessionExpired past
@@ -105,18 +106,25 @@ type roleIngest struct {
 // to ctx's error. The caller must resolve the session — feed it to a
 // decision or Close it — or its slot stays occupied.
 func (s *AuthService) OpenSession(ctx context.Context, req Request) (*Session, error) {
+	return s.open(ctx, req, true)
+}
+
+// open validates, admits and opens one session for OpenSession (client:
+// the caller feeds it) or AuthenticateContext (born fed).
+func (s *AuthService) open(ctx context.Context, req Request, client bool) (*Session, error) {
 	if err := validateRequest(req); err != nil {
 		return nil, err
 	}
-	// Chaos hook: same admission perturbation point as the batch path.
+	// Chaos hook: delay → queue pressure, error → forced shed.
 	if err := faultinject.Fire(faultinject.SiteServiceAcquire); err != nil {
 		return nil, err
 	}
 	if err := s.begin(ctx); err != nil {
 		return nil, err
 	}
-	sess, err := s.openStream(ctx, req)
+	sess, err := s.openStream(ctx, req, client)
 	if err != nil {
+		// A scan-worker panic arrives as *detect.PanicError.
 		var pe *detect.PanicError
 		if errors.As(err, &pe) {
 			err = &InternalError{Panic: pe.Value, Stack: pe.Stack}
@@ -130,15 +138,17 @@ func (s *AuthService) OpenSession(ctx context.Context, req Request) (*Session, e
 	return sess, nil
 }
 
-// openStream builds and registers the session once a slot is held. Panic
-// isolation for the open phase (device build, scene render) lives here.
-func (s *AuthService) openStream(ctx context.Context, req Request) (sess *Session, err error) {
+// openStream builds the session once a slot is held. Panic isolation for
+// the open phase (device build, scene render, a born-fed scan) lives here.
+// Only a client's session is registered for the watchdog and Close to reap
+// if abandoned; the service resolves a batch session itself.
+func (s *AuthService) openStream(ctx context.Context, req Request, client bool) (sess *Session, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sess, err = nil, &InternalError{Panic: r, Stack: debug.Stack()}
 		}
 	}()
-	// Chaos hook: same per-session crash point as the batch path.
+	// Chaos hook: panic → session crash, delay → slot starvation.
 	if err := faultinject.Fire(faultinject.SiteServiceSession); err != nil {
 		return nil, err
 	}
@@ -150,15 +160,24 @@ func (s *AuthService) openStream(ctx context.Context, req Request) (sess *Sessio
 		ctx = context.Background()
 	}
 	sctx, cancel := context.WithCancel(ctx)
-	as, err := a.OpenStreamContext(sctx, plays...)
+	open := a.OpenFedStreamContext
+	if client {
+		open = a.OpenStreamContext
+	}
+	as, err := open(sctx, plays...)
 	if err != nil {
 		cancel()
+		// The caller canceled: return the bare ctx.Err(), not which
+		// device's scan noticed first.
 		if ctxe := sctx.Err(); ctxe != nil && errors.Is(err, ctxe) {
 			return nil, ctxe
 		}
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	sess = &Session{svc: s, as: as, ctx: sctx, cancel: cancel, opened: time.Now()}
+	if !client {
+		return sess, nil
+	}
 	sess.lastFeed.Store(sess.opened.UnixNano())
 	// Register under the service lock, re-checking closed: a Close racing
 	// this open may already have swept the streams map, and a session
@@ -207,10 +226,9 @@ func (sn *Session) outcome() (*core.Result, error, bool) {
 
 // fail classifies an error out of the streaming engine and resolves the
 // session when it is fatal: a recovered scan-worker panic becomes
-// ErrInternal (with the workspace replenished, as in the batch path) and a
-// session-context error becomes that error. Non-fatal errors — an
-// over-length chunk, audio after the decision — pass through typed with the
-// session still open.
+// ErrInternal (with the workspace replenished) and a session-context error
+// becomes that error. Non-fatal errors — an over-length chunk, audio after
+// the decision — pass through typed with the session still open.
 func (sn *Session) fail(err error) error {
 	if errors.Is(err, ErrFeedOverflow) || errors.Is(err, ErrStreamDecided) {
 		return err
@@ -249,8 +267,8 @@ func (sn *Session) fail(err error) error {
 }
 
 // Recording returns the role's complete rendered recording — the simulated
-// microphone the caller feeds chunks from (nil once resolved by Close
-// without a decision, or when the session was pre-decided).
+// microphone the caller feeds chunks from (nil only when the session was
+// pre-decided, out of Bluetooth range). Callers must not mutate it.
 func (sn *Session) Recording(role core.Role) []int16 { return sn.as.Recording(role) }
 
 // EarlyFeedLen returns the role's decision horizon: once every role has
@@ -275,8 +293,8 @@ func (sn *Session) enter() error {
 }
 
 // exit ends a call admitted by enter. A panic anywhere in the call is
-// recovered here, mirroring the batch pipeline's session-goroutine
-// isolation: the session resolves ErrInternal and *err reports it.
+// recovered here, as openStream recovers one in the open phase: the
+// session resolves ErrInternal and *err reports it.
 func (sn *Session) exit(err *error) {
 	if r := recover(); r != nil {
 		*err = sn.crash(r)
@@ -285,7 +303,7 @@ func (sn *Session) exit(err *error) {
 }
 
 // crash resolves the session to ErrInternal for a recovered panic,
-// replenishing the engine's workspace as the batch path does.
+// replenishing the engine's workspace the poisoned scan discarded.
 func (sn *Session) crash(r any) error {
 	ie := &InternalError{Panic: r, Stack: debug.Stack()}
 	sn.svc.replenish()
@@ -325,7 +343,7 @@ func (sn *Session) Feed(role core.Role, pcm []int16) (err error) {
 // the per-role reassembler buffers them (bounded by Config.ReorderWindow)
 // and delivers contiguous runs to the same scan path as Feed, so a framed
 // session on a clean transport decides bit-identically to a Feed session
-// and to the batch pipeline.
+// and to AuthenticateContext.
 //
 // Typed failures, all leaving the session open: ErrFrameCorrupt (CRC
 // mismatch — the frame is rejected whole and never scored; resend it) and

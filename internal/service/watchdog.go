@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/acoustic-auth/piano/internal/core"
 	"github.com/acoustic-auth/piano/internal/faultinject"
 )
 
@@ -40,7 +41,12 @@ var ErrConfig = errors.New("service: invalid config")
 // negative MaxQueueWait or MaxQueueDepth used to be treated as "unbounded"
 // (the > 0 checks never armed the bound), which inverts the caller's
 // intent, and a negative Workers or MaxSessions fell back to its default.
+// A non-frequency Core.Mode is rejected too: every service session is a
+// stream, and the cross-correlation baseline cannot stream.
 func validateConfig(cfg Config) error {
+	if cfg.Core.Mode != core.DetectFrequency {
+		return fmt.Errorf("%w: Core.Mode %d is not the frequency-detection mode (the cross-correlation baseline cannot stream)", ErrConfig, int(cfg.Core.Mode))
+	}
 	for _, d := range []struct {
 		name string
 		v    time.Duration

@@ -171,9 +171,11 @@ func (s *Service) Authenticate(req AuthRequest) (*Decision, error) {
 // cooperative (observed between protocol steps and between scan hop
 // blocks), so an abandoned call frees its session slot and pool workers
 // mid-scan and returns ctx.Err(). Sessions that complete are bit-identical
-// to uncancelled runs. Typed failures: ErrOverloaded (admission shed),
-// ErrClosed (service draining/closed), ErrInternal (recovered panic; the
-// service keeps serving).
+// to uncancelled runs; a nil ctx runs uncancellably. Typed failures:
+// ErrOverloaded (admission shed), ErrClosed (service draining/closed),
+// ErrInternal (recovered panic; the service keeps serving). Errors follow
+// AuthSession's convention: typed sentinels and context errors pass
+// through unwrapped, anything else carries the package prefix.
 func (s *Service) AuthenticateContext(ctx context.Context, req AuthRequest) (*Decision, error) {
 	sreq, err := convertRequest(req)
 	if err != nil {
@@ -181,13 +183,7 @@ func (s *Service) AuthenticateContext(ctx context.Context, req AuthRequest) (*De
 	}
 	res, err := s.svc.AuthenticateContext(ctx, sreq)
 	if err != nil {
-		// The typed sentinels and ctx.Err() pass through unwrapped so
-		// callers can match them directly; anything else gets the usual
-		// package prefix.
-		if ctxe := ctx.Err(); ctxe != nil && err == ctxe {
-			return nil, err
-		}
-		return nil, fmt.Errorf("piano: %w", err)
+		return nil, wrapSessionErr(err)
 	}
 	return toDecision(res), nil
 }

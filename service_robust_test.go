@@ -65,6 +65,26 @@ func TestServicePublicCancelReturnsCtxErr(t *testing.T) {
 	}
 }
 
+// TestServicePublicNilContext: AuthenticateContext accepts a nil ctx
+// (uncancellable, as the internal service and AuthenticateWithRetry treat
+// one), so its error paths must not dereference it: after Close the call
+// returns ErrClosed instead of panicking.
+func TestServicePublicNilContext(t *testing.T) {
+	svc, err := NewService(DefaultServiceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := serviceRequests()[0]
+	var ctx context.Context // nil
+	if _, err := svc.AuthenticateContext(ctx, req); err != nil {
+		t.Fatalf("nil-ctx session failed: %v", err)
+	}
+	svc.Close()
+	if _, err := svc.AuthenticateContext(ctx, req); !errors.Is(err, ErrClosed) {
+		t.Fatalf("nil-ctx call after Close returned %v, want ErrClosed", err)
+	}
+}
+
 // TestServicePublicOverloadAndClosed: the re-exported typed errors surface
 // through the public layer — ErrOverloaded from a saturated service with a
 // bounded queue wait, ErrClosed after Close.

@@ -8,7 +8,9 @@ import (
 
 // TestAuthSessionMatchesAuthenticate: the public streaming session must
 // decide bit-identically to the batch Authenticate call for the same
-// request, both when fed to the early horizon and when fed everything.
+// request, both when fed to the early horizon and when fed everything. Both
+// run the service's one Session lifecycle, so the serial Deployment path
+// is checked too, as the independent oracle.
 func TestAuthSessionMatchesAuthenticate(t *testing.T) {
 	svc, err := NewService(DefaultServiceConfig())
 	if err != nil {
@@ -23,6 +25,11 @@ func TestAuthSessionMatchesAuthenticate(t *testing.T) {
 	want, err := svc.Authenticate(req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if serial := deploymentRun(t, req); serial.Granted != want.Granted || serial.Reason != want.Reason ||
+		math.Float64bits(serial.DistanceM) != math.Float64bits(want.DistanceM) ||
+		math.Float64bits(serial.AuthTimeSec) != math.Float64bits(want.AuthTimeSec) {
+		t.Fatalf("batch decision %+v != serial deployment %+v", want, serial)
 	}
 
 	for _, early := range []bool{false, true} {
