@@ -96,7 +96,7 @@ bench-service:
 # PERFORMANCE.md).
 bench-detect:
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectAll' -benchmem -benchtime 5x ./internal/detect/
-	$(GO) test -run '^$$' -bench 'PowerSpectrumInto|PowerSpectrumBandInto|SlidingBandDFT|BandScorer' -benchmem ./internal/dsp/
+	$(GO) test -run '^$$' -bench 'PowerSpectrumInto|PowerSpectrumBandInto|SlidingBandDFT' -benchmem ./internal/dsp/
 
 # The streaming fine scan and zero-copy PCM ingestion: streamed
 # (sliding-DFT fine hops + exact-at-peak re-check, the default-config

@@ -24,7 +24,7 @@ var (
 	sparseFIRMixes atomic.Uint64
 )
 
-// SincMixCalls returns the number of MixFloatSinc/MixFloatSincGain calls
+// SincMixCalls returns the number of MixFloatSincGain calls
 // since process start.
 func SincMixCalls() uint64 { return sincMixes.Load() }
 
@@ -32,15 +32,10 @@ func SincMixCalls() uint64 { return sincMixes.Load() }
 // start.
 func SparseFIRMixCalls() uint64 { return sparseFIRMixes.Load() }
 
-// MixFloatSinc adds src into dst starting at the (possibly fractional)
+// MixFloatSincGain adds src into dst starting at the (possibly fractional)
 // sample offset, applying the fractional part as a band-limited delay via a
-// Hann-windowed sinc kernel.
-func MixFloatSinc(dst, src []float64, offset float64) {
-	MixFloatSincGain(dst, src, offset, 1)
-}
-
-// MixFloatSincGain is MixFloatSinc with every source sample scaled by gain
-// on the fly. This is the render hot path's per-tap mixer: folding the tap
+// Hann-windowed sinc kernel, with every source sample scaled by gain on
+// the fly. This is the render hot path's per-tap mixer: folding the tap
 // gain into the kernel accumulation removes the per-tap scaled-copy buffer
 // the renderer used to allocate, with bit-identical results (the scale is
 // applied to the source sample before the kernel product, exactly as the
@@ -186,32 +181,5 @@ func MixSparseFIR(dst, src []float64, fir *dsp.SparseFIR) {
 		for i := edgeLo; i < len(src); i++ {
 			mixChecked(i)
 		}
-	}
-}
-
-// MixFloat adds src into the float64 accumulation buffer dst starting at the
-// (possibly fractional) sample offset, using linear interpolation for the
-// fractional part. The world simulator accumulates all acoustic sources in
-// float64 and quantizes to int16 once, so intermediate mixing never clips.
-func MixFloat(dst, src []float64, offset float64) {
-	if len(src) == 0 || len(dst) == 0 {
-		return
-	}
-	base := math.Floor(offset)
-	frac := offset - base
-	start := int(base)
-	for i := 0; i <= len(src); i++ {
-		di := start + i
-		if di < 0 || di >= len(dst) {
-			continue
-		}
-		var v float64
-		if i < len(src) {
-			v += (1 - frac) * src[i]
-		}
-		if i > 0 {
-			v += frac * src[i-1]
-		}
-		dst[di] += v
 	}
 }

@@ -114,7 +114,7 @@ func (a *Authenticator) SetThreshold(m float64) error {
 }
 
 // UseDetector attaches a shared Step-IV detector (typically service-owned,
-// with a worker pool and pinned FFT plans) so this pairing's sessions stop
+// with a worker pool and prewarmed scratch) so this pairing's sessions stop
 // building per-session detection machinery. The detector's parameters must
 // equal the deployment's Detect config; sessions fail otherwise. Call
 // before authenticating; a nil detector restores self-contained sessions.
@@ -134,7 +134,9 @@ func (a *Authenticator) AuthDevice() *device.Device { return a.auth }
 func (a *Authenticator) VouchDevice() *device.Device { return a.vouch }
 
 // Measure runs ACTION once without making an access decision (the
-// distance-accuracy experiments use this directly).
+// distance-accuracy experiments use this directly). Unlike Authenticate it
+// has no Bluetooth pre-check: an unreachable vouching device fails the
+// descriptor exchange with bluetooth.ErrOutOfRange.
 func (a *Authenticator) Measure(extras ...ExtraPlay) (*SessionResult, error) {
 	return a.MeasureContext(nil, extras...)
 }
@@ -148,12 +150,11 @@ func (a *Authenticator) Measure(extras ...ExtraPlay) (*SessionResult, error) {
 // yields a fresh realization (exactly as a real retry would); sessions that
 // complete are bit-identical to uncancellable runs.
 func (a *Authenticator) MeasureContext(ctx context.Context, extras ...ExtraPlay) (*SessionResult, error) {
-	sr, err := RunACTIONWith(SessionDeps{Detector: a.det, Ctx: ctx}, a.cfg, a.auth, a.vouch, a.linkAuth, a.linkVouch, a.rng, extras)
+	res, err := a.run(ctx, extras)
 	if err != nil {
 		return nil, err
 	}
-	a.account(sr)
-	return sr, nil
+	return res.Session, nil
 }
 
 // Authenticate executes the paper's authentication phase:
@@ -171,19 +172,50 @@ func (a *Authenticator) AuthenticateContext(ctx context.Context, extras ...Extra
 	if !a.linkAuth.InRange() {
 		return &Result{Granted: false, Reason: ReasonBluetoothOutOfRange}, nil
 	}
-	sr, err := a.MeasureContext(ctx, extras...)
+	return a.run(ctx, extras)
+}
+
+// run executes one whole ACTION session and decides it. The rng must be
+// private to this pairing: every draw (signal construction, latency and
+// processing-delay realizations, channel geometry, ambient noise) happens
+// in a fixed sequential order, so a per-session seeded stream makes
+// concurrent sessions bit-identical to serial ones. Frequency-mode Step IV
+// is the streaming session born fed; only the ACTION-CC baseline scans
+// outside it.
+func (a *Authenticator) run(ctx context.Context, extras []ExtraPlay) (*Result, error) {
+	p, err := a.prepareACTION(ctx, extras)
 	if err != nil {
 		return nil, err
 	}
-	return a.decide(sr), nil
+	if a.cfg.Mode == DetectCrossCorrelation {
+		resAuth, resVouch, err := p.detectCrossCorrelation()
+		if err != nil {
+			return nil, err
+		}
+		sr, err := p.finishACTION(resAuth, resVouch)
+		if err != nil {
+			return nil, err
+		}
+		return a.decide(sr), nil
+	}
+	as, err := newAuthStream(p, true)
+	if err != nil {
+		return nil, err
+	}
+	res, need, err := as.TryResult()
+	if err == nil && need > 0 {
+		return nil, fmt.Errorf("core: fully fed session still needs %d samples", need)
+	}
+	return res, err
 }
 
-// decide maps one completed ACTION run onto the access decision: deny on ⊥,
-// grant iff the estimated distance ≤ τ. Shared verbatim between the batch
-// path (AuthenticateContext) and the streaming path (AuthStream), so a
+// decide books one completed ACTION run's energy and maps it onto the
+// access decision: deny on ⊥, grant iff the estimated distance ≤ τ. Every
+// session — batch, streamed, or ACTION-CC — ends here exactly once, so a
 // streamed session's decision is byte-identical to the batch decision for
 // the same SessionResult.
 func (a *Authenticator) decide(sr *SessionResult) *Result {
+	a.account(sr)
 	if !sr.Found {
 		return &Result{Granted: false, Reason: ReasonSignalAbsent, Session: sr}
 	}
@@ -205,7 +237,7 @@ func (a *Authenticator) decide(sr *SessionResult) *Result {
 
 // account books one session's energy into the attached ledger/battery.
 func (a *Authenticator) account(sr *SessionResult) {
-	if a.ledger == nil || sr == nil {
+	if a.ledger == nil {
 		return
 	}
 	a.ledger.RecordMic(sr.RecordSeconds)

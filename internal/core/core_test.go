@@ -114,7 +114,7 @@ func TestACTIONAccuracyAtOneMeter(t *testing.T) {
 }
 
 // TestACTIONClockOffsetInvariance verifies Eq. 3's core property: arbitrary
-// per-device clock origins must not move the estimate. RunACTION already
+// per-device clock origins must not move the estimate. ACTION already
 // derives offsets from BT latencies; here we additionally confirm accuracy
 // survives extreme skew settings.
 func TestACTIONClockOffsetInvariance(t *testing.T) {
@@ -312,8 +312,8 @@ func TestRunACTIONValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	auth, vouch := newPair(t, 1.0, true)
 	rng := rand.New(rand.NewSource(10))
-	if _, err := RunACTION(cfg, nil, vouch, nil, nil, rng, nil); err == nil {
-		t.Error("nil links accepted")
+	if _, err := NewAuthenticator(cfg, nil, vouch, rng); err == nil {
+		t.Error("nil device accepted")
 	}
 	a, err := NewAuthenticator(cfg, auth, vouch, rng)
 	if err != nil {

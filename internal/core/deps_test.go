@@ -5,30 +5,30 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/acoustic-auth/piano/internal/bluetooth"
 	"github.com/acoustic-auth/piano/internal/detect"
 	"github.com/acoustic-auth/piano/internal/device"
-	"github.com/acoustic-auth/piano/internal/dsp"
 )
 
-// runSession executes one seeded ACTION session between a 0.8 m pair, with
-// optional injected deps and extra plays built by mkExtras (which draws
-// from the same session rng, exactly like the public Deployment path).
-func runSession(t *testing.T, seed int64, deps SessionDeps,
+// runSession measures one seeded ACTION session between a 0.8 m pair, with
+// an optional injected detector and extra plays built by mkExtras (which
+// draws from the same session rng, exactly like the public Deployment
+// path).
+func runSession(t *testing.T, seed int64, det *detect.Detector,
 	mkExtras func(cfg Config, rng *rand.Rand) []ExtraPlay) *SessionResult {
 	t.Helper()
 	cfg := DefaultConfig()
 	auth, vouch := newPair(t, 0.8, true)
-	la, lv, err := bluetooth.Pair(auth, vouch, cfg.BTLatency, cfg.BTRangeM)
+	rng := rand.New(rand.NewSource(seed))
+	a, err := NewAuthenticator(cfg, auth, vouch, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	a.UseDetector(det)
 	var extras []ExtraPlay
 	if mkExtras != nil {
 		extras = mkExtras(cfg, rng)
 	}
-	sr, err := RunACTIONWith(deps, cfg, auth, vouch, la, lv, rng, extras)
+	sr, err := a.Measure(extras...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +36,8 @@ func runSession(t *testing.T, seed int64, deps SessionDeps,
 }
 
 // TestInjectedDetectorBitIdentical: a session driven by a service-shared
-// detector (worker pool + pinned plans) must reproduce the self-contained
-// session bit for bit.
+// detector (worker pool) must reproduce the self-contained session bit for
+// bit.
 func TestInjectedDetectorBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	det, err := detect.New(cfg.Detect)
@@ -46,16 +46,11 @@ func TestInjectedDetectorBitIdentical(t *testing.T) {
 	}
 	pool := detect.NewPool(3)
 	defer pool.Close()
-	plans, err := dsp.NewPlanSet(cfg.Signal.Length)
-	if err != nil {
-		t.Fatal(err)
-	}
 	det.UsePool(pool)
-	det.UsePlans(plans)
 
 	for _, seed := range []int64{1, 42, 977} {
-		plain := runSession(t, seed, SessionDeps{}, nil)
-		shared := runSession(t, seed, SessionDeps{Detector: det}, nil)
+		plain := runSession(t, seed, nil, nil)
+		shared := runSession(t, seed, det, nil)
 		if *plain != *shared {
 			t.Fatalf("seed %d: injected-detector session diverged:\nplain  %+v\nshared %+v", seed, plain, shared)
 		}
@@ -77,12 +72,12 @@ func TestInjectedDetectorConfigMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	auth, vouch := newPair(t, 0.8, true)
-	la, lv, err := bluetooth.Pair(auth, vouch, cfg.BTLatency, cfg.BTRangeM)
+	a, err := NewAuthenticator(cfg, auth, vouch, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	if _, err := RunACTIONWith(SessionDeps{Detector: det}, cfg, auth, vouch, la, lv, rng, nil); err == nil {
+	a.UseDetector(det)
+	if _, err := a.Measure(); err == nil {
 		t.Fatal("detector with mismatched parameters accepted")
 	}
 }
@@ -112,8 +107,8 @@ func TestExtraPlaySharedBackingSliceSafe(t *testing.T) {
 			{Device: dev, Samples: burst, AtSec: 0.9},
 		}
 	}
-	a := runSession(t, 7, SessionDeps{}, mk)
-	b := runSession(t, 7, SessionDeps{}, mk)
+	a := runSession(t, 7, nil, mk)
+	b := runSession(t, 7, nil, mk)
 	if *a != *b {
 		t.Fatalf("re-running with shared-backing extra plays diverged:\n%+v\n%+v", a, b)
 	}

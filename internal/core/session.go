@@ -6,11 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"github.com/acoustic-auth/piano/internal/acoustic"
 	"github.com/acoustic-auth/piano/internal/audio"
-	"github.com/acoustic-auth/piano/internal/bluetooth"
 	"github.com/acoustic-auth/piano/internal/detect"
 	"github.com/acoustic-auth/piano/internal/device"
 	"github.com/acoustic-auth/piano/internal/sigref"
@@ -36,26 +34,6 @@ type ExtraPlay struct {
 	AtSec float64
 	// Random schedules the emission uniformly over the recording span.
 	Random bool
-}
-
-// SessionDeps injects long-lived, service-owned machinery into a session.
-// The zero value makes RunACTION self-contained (it builds what it needs
-// per session); a batching service fills it in so concurrent sessions
-// share one bounded detect worker pool, one pooled scratch arena, and one
-// pinned FFT plan per window length.
-type SessionDeps struct {
-	// Detector, when non-nil, performs the Step-IV scans. Its Config must
-	// equal cfg.Detect — results would silently diverge from the session's
-	// declared parameters otherwise, so RunACTIONWith rejects a mismatch.
-	// The detector must be safe for concurrent use (detect.Detector is).
-	Detector *detect.Detector
-	// Ctx, when non-nil, cancels the session cooperatively: RunACTIONWith
-	// checks it between protocol steps and threads it into the Step-IV
-	// scans, which observe it between hop blocks. A canceled session
-	// returns ctx.Err() and stops burning pool workers mid-scan; sessions
-	// that complete are bit-identical to uncancellable runs (checkpoints
-	// never reorder or change any computation).
-	Ctx context.Context
 }
 
 // Degraded reports the transport loss a streaming decision survived: the
@@ -167,37 +145,21 @@ func decodeLocDiff(data []byte) (locDiffMsg, error) {
 	return m, nil
 }
 
-// RunACTION executes one complete distance estimation between the
-// authenticating device (linkAuth.local side) and the vouching device over
-// a freshly rendered acoustic scene. It is the self-contained form of
-// RunACTIONWith: every session builds its own detector.
-//
-// The returned SessionResult carries both the protocol outcome and the
-// modeled time/energy figures for the efficiency experiment.
-func RunACTION(
-	cfg Config,
-	auth, vouch *device.Device,
-	linkAuth, linkVouch *bluetooth.Link,
-	rng *rand.Rand,
-	extras []ExtraPlay,
-) (*SessionResult, error) {
-	return RunACTIONWith(SessionDeps{}, cfg, auth, vouch, linkAuth, linkVouch, rng, extras)
-}
-
 // sessionPrep carries a session from the end of Step III (scene rendered,
 // recordings in hand) to Steps IV–VI. Splitting the pipeline here is what
-// lets one SessionStream serve both a batch session (RunACTIONWith: each
-// device's stream fed its whole recording at once) and a live one
-// (OpenACTIONStream: fed as the audio arrives) over identical state: both
-// share prepareACTION, the Step-IV stream, and finishACTION verbatim, so
-// every RNG draw and every arithmetic step is common by construction.
+// lets one AuthStream serve both a batch session (each device's stream fed
+// its whole recording at once) and a live one (fed as the audio arrives)
+// over identical state: both share prepareACTION, the Step-IV stream, and
+// finishACTION verbatim, so every RNG draw and every arithmetic step is
+// common by construction.
 type sessionPrep struct {
-	deps SessionDeps
-	cfg  Config
-
-	auth, vouch         *device.Device
-	linkAuth, linkVouch *bluetooth.Link
-	rng                 *rand.Rand
+	a *Authenticator
+	// ctx, when non-nil, cancels the session cooperatively: it is checked
+	// between protocol steps and threaded into the Step-IV scans, which
+	// observe it between hop blocks. Sessions that complete are
+	// bit-identical to uncancellable runs (checkpoints never reorder or
+	// change any computation).
+	ctx context.Context
 
 	// The authenticating device's constructed signals and the vouching
 	// device's decoded copies (Step II ships descriptors, not samples).
@@ -215,72 +177,20 @@ type sessionPrep struct {
 	recEnd       float64
 }
 
-// RunACTIONWith is RunACTION with injected service context (see
-// SessionDeps). The rng must be private to this session: every draw it
-// makes (signal construction, latency and processing-delay realizations,
-// channel geometry, ambient noise) happens in a fixed sequential order, so
-// a per-session seeded stream makes concurrent sessions bit-identical to
-// serial ones; a stream shared across concurrent sessions would be both a
-// data race and a determinism break.
-func RunACTIONWith(
-	deps SessionDeps,
-	cfg Config,
-	auth, vouch *device.Device,
-	linkAuth, linkVouch *bluetooth.Link,
-	rng *rand.Rand,
-	extras []ExtraPlay,
-) (*SessionResult, error) {
-	p, err := prepareACTION(deps, cfg, auth, vouch, linkAuth, linkVouch, rng, extras)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Mode == DetectCrossCorrelation {
-		resAuth, resVouch, err := p.detectCrossCorrelation()
-		if err != nil {
-			return nil, err
-		}
-		return p.finishACTION(resAuth, resVouch)
-	}
-	// Batch Step IV is the streaming session fed once: each device's
-	// stream already holds its whole recording, so TryResult decides now.
-	ss, err := newSessionStream(p, true)
-	if err != nil {
-		return nil, err
-	}
-	sr, need, err := ss.TryResult()
-	if err == nil && need > 0 {
-		return nil, fmt.Errorf("core: fully fed session still needs %d samples", need)
-	}
-	return sr, err
-}
-
 // prepareACTION runs Steps I–III: signal construction, the descriptor
 // exchange, the session timeline, and the rendered acoustic scene. It
 // consumes RNG draws in the exact order the historical monolithic pipeline
 // did (signal draws, link latencies, processing delays, world/channel
 // draws, extra-play schedules), which is what keeps batch and streamed
 // sessions bit-identical to each other and to earlier releases.
-func prepareACTION(
-	deps SessionDeps,
-	cfg Config,
-	auth, vouch *device.Device,
-	linkAuth, linkVouch *bluetooth.Link,
-	rng *rand.Rand,
-	extras []ExtraPlay,
-) (*sessionPrep, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if auth == nil || vouch == nil || linkAuth == nil || linkVouch == nil {
-		return nil, errors.New("core: nil device or link")
-	}
-	if rng == nil {
-		return nil, errors.New("core: nil rng")
-	}
-	if deps.Detector != nil && deps.Detector.Config() != cfg.Detect {
+func (a *Authenticator) prepareACTION(ctx context.Context, extras []ExtraPlay) (*sessionPrep, error) {
+	cfg, rng := a.cfg, a.rng
+	auth, vouch := a.auth, a.vouch
+	linkAuth, linkVouch := a.linkAuth, a.linkVouch
+	if a.det != nil && a.det.Config() != cfg.Detect {
 		return nil, errors.New("core: injected detector parameters differ from session config")
 	}
-	if err := ctxErr(deps.Ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 
@@ -371,7 +281,7 @@ func prepareACTION(
 	// Cancellation checkpoint before the render — the most expensive
 	// non-detection phase; an abandoned caller stops here instead of
 	// rendering a scene nobody will scan.
-	if err := ctxErr(deps.Ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	w, err := world.New(cfg.World, rng)
@@ -424,7 +334,7 @@ func prepareACTION(
 		return nil, err
 	}
 
-	det := deps.Detector
+	det := a.det
 	if det == nil {
 		det, err = detect.New(cfg.Detect)
 		if err != nil {
@@ -432,10 +342,7 @@ func prepareACTION(
 		}
 	}
 	return &sessionPrep{
-		deps: deps, cfg: cfg,
-		auth: auth, vouch: vouch,
-		linkAuth: linkAuth, linkVouch: linkVouch,
-		rng:  rng,
+		a: a, ctx: ctx,
 		sigA: sigA, sigV: sigV,
 		vouchSigA: vouchSigA, vouchSigV: vouchSigV,
 		recs: recs, det: det,
@@ -449,7 +356,7 @@ func prepareACTION(
 // locates both signals in its complete recording by normalized
 // cross-correlation against the original waveform.
 func (p *sessionPrep) detectCrossCorrelation() (resAuth, resVouch []detect.Result, err error) {
-	if err := ctxErr(p.deps.Ctx); err != nil {
+	if err := ctxErr(p.ctx); err != nil {
 		return nil, nil, err
 	}
 	ccDetect := func(rec []float64, sigs ...*sigref.Signal) ([]detect.Result, error) {
@@ -463,10 +370,10 @@ func (p *sessionPrep) detectCrossCorrelation() (resAuth, resVouch []detect.Resul
 		}
 		return out, nil
 	}
-	if resAuth, err = ccDetect(p.recs[p.auth].Float(), p.sigA, p.sigV); err != nil {
+	if resAuth, err = ccDetect(p.recs[p.a.auth].Float(), p.sigA, p.sigV); err != nil {
 		return nil, nil, err
 	}
-	if resVouch, err = ccDetect(p.recs[p.vouch].Float(), p.vouchSigA, p.vouchSigV); err != nil {
+	if resVouch, err = ccDetect(p.recs[p.a.vouch].Float(), p.vouchSigA, p.vouchSigV); err != nil {
 		return nil, nil, err
 	}
 	return resAuth, resVouch, nil
@@ -478,9 +385,9 @@ func (p *sessionPrep) detectCrossCorrelation() (resAuth, resVouch []detect.Resul
 // plausibility gate. It must run exactly once per session — the Step-V
 // latency draw advances the session RNG stream.
 func (p *sessionPrep) finishACTION(resAuth, resVouch []detect.Result) (*SessionResult, error) {
-	cfg, rng := p.cfg, p.rng
-	auth, vouch := p.auth, p.vouch
-	linkAuth, linkVouch := p.linkAuth, p.linkVouch
+	cfg, rng := p.a.cfg, p.a.rng
+	auth, vouch := p.a.auth, p.a.vouch
+	linkAuth, linkVouch := p.a.linkAuth, p.a.linkVouch
 
 	res := &SessionResult{}
 	res.WindowsScanned = resAuth[0].WindowsScanned + resAuth[1].WindowsScanned - resAuth[0].CoarseScanned

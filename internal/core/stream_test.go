@@ -7,30 +7,30 @@ import (
 	"testing"
 
 	"github.com/acoustic-auth/piano/internal/bluetooth"
+	"github.com/acoustic-auth/piano/internal/energy"
 )
 
 // openStream opens a seeded streaming session between a 0.8 m pair — the
 // streaming twin of runSession's setup, so the two are oracle-comparable
 // per seed.
-func openStream(t *testing.T, seed int64) *SessionStream {
+func openStream(t *testing.T, seed int64) *AuthStream {
 	t.Helper()
-	cfg := DefaultConfig()
 	auth, vouch := newPair(t, 0.8, true)
-	la, lv, err := bluetooth.Pair(auth, vouch, cfg.BTLatency, cfg.BTRangeM)
+	a, err := NewAuthenticator(DefaultConfig(), auth, vouch, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := OpenACTIONStream(SessionDeps{}, cfg, auth, vouch, la, lv, rand.New(rand.NewSource(seed)), nil, false)
+	as, err := a.OpenStreamContext(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ss
+	return as
 }
 
 // feedInterleaved feeds both roles' recordings in alternating chunks (the
 // shape of two live microphones draining concurrently), up to each role's
 // given limit.
-func feedInterleaved(t *testing.T, ss *SessionStream, chunk int, limit [2]int) {
+func feedInterleaved(t *testing.T, as *AuthStream, chunk int, limit [2]int) {
 	t.Helper()
 	at := [2]int{}
 	for at[RoleAuth] < limit[RoleAuth] || at[RoleVouch] < limit[RoleVouch] {
@@ -42,7 +42,7 @@ func feedInterleaved(t *testing.T, ss *SessionStream, chunk int, limit [2]int) {
 			if end > limit[role] {
 				end = limit[role]
 			}
-			if err := ss.Feed(role, ss.Recording(role)[at[role]:end]); err != nil {
+			if err := as.Feed(role, as.Recording(role)[at[role]:end]); err != nil {
 				t.Fatalf("feed %s [%d, %d): %v", role, at[role], end, err)
 			}
 			at[role] = end
@@ -50,31 +50,31 @@ func feedInterleaved(t *testing.T, ss *SessionStream, chunk int, limit [2]int) {
 	}
 }
 
-func fullLimits(ss *SessionStream) [2]int {
-	return [2]int{len(ss.Recording(RoleAuth)), len(ss.Recording(RoleVouch))}
+func fullLimits(as *AuthStream) [2]int {
+	return [2]int{len(as.Recording(RoleAuth)), len(as.Recording(RoleVouch))}
 }
 
 // TestStreamSessionReplayBitIdentical is the session-level oracle check:
 // feeding each role its complete recording — whole, or interleaved in
 // 1-sample, prime, and window-aligned chunks — must reproduce the batch
-// RunACTIONWith result field for field.
+// Measure result field for field.
 func TestStreamSessionReplayBitIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
-		want := runSession(t, seed, SessionDeps{}, nil)
+		want := runSession(t, seed, nil, nil)
 		for _, chunk := range []int{2048, 4096, 1 << 20} {
-			ss := openStream(t, seed)
-			feedInterleaved(t, ss, chunk, fullLimits(ss))
-			got, need, err := ss.TryResult()
+			as := openStream(t, seed)
+			feedInterleaved(t, as, chunk, fullLimits(as))
+			got, need, err := as.TryResult()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if need != 0 {
 				t.Fatalf("seed %d chunk %d: full feed still needs %d", seed, chunk, need)
 			}
-			if *got != *want {
-				t.Fatalf("seed %d chunk %d: stream session diverged:\nstream %+v\nbatch  %+v", seed, chunk, got, want)
+			if *got.Session != *want {
+				t.Fatalf("seed %d chunk %d: stream session diverged:\nstream %+v\nbatch  %+v", seed, chunk, got.Session, want)
 			}
-			if math.Float64bits(got.DistanceM) != math.Float64bits(want.DistanceM) {
+			if math.Float64bits(got.Session.DistanceM) != math.Float64bits(want.DistanceM) {
 				t.Fatalf("seed %d chunk %d: distance bits differ", seed, chunk)
 			}
 		}
@@ -87,30 +87,30 @@ func TestStreamSessionReplayBitIdentical(t *testing.T) {
 // session then refuses further audio with ErrStreamDecided.
 func TestStreamSessionEarlyDecision(t *testing.T) {
 	const seed = 42
-	want := runSession(t, seed, SessionDeps{}, nil)
-	ss := openStream(t, seed)
-	limits := [2]int{ss.EarlyFeedLen(RoleAuth), ss.EarlyFeedLen(RoleVouch)}
+	want := runSession(t, seed, nil, nil)
+	as := openStream(t, seed)
+	limits := [2]int{as.EarlyFeedLen(RoleAuth), as.EarlyFeedLen(RoleVouch)}
 	for _, role := range []Role{RoleAuth, RoleVouch} {
-		if total := len(ss.Recording(role)); limits[role] >= total {
+		if total := len(as.Recording(role)); limits[role] >= total {
 			t.Fatalf("%s horizon %d does not precede the recording end %d — early decision untested", role, limits[role], total)
 		}
 	}
-	feedInterleaved(t, ss, 4096, limits)
-	got, need, err := ss.TryResult()
+	feedInterleaved(t, as, 4096, limits)
+	got, need, err := as.TryResult()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if need != 0 {
 		t.Fatalf("horizon feed still needs %d samples", need)
 	}
-	if *got != *want {
-		t.Fatalf("early decision diverged:\nearly %+v\nbatch %+v", got, want)
+	if *got.Session != *want {
+		t.Fatalf("early decision diverged:\nearly %+v\nbatch %+v", got.Session, want)
 	}
-	if err := ss.Feed(RoleAuth, ss.Recording(RoleAuth)[limits[RoleAuth]:]); !errors.Is(err, ErrStreamDecided) {
+	if err := as.Feed(RoleAuth, as.Recording(RoleAuth)[limits[RoleAuth]:]); !errors.Is(err, ErrStreamDecided) {
 		t.Fatalf("post-decision feed returned %v, want ErrStreamDecided", err)
 	}
 	// The cached result is stable across repeated calls.
-	again, need, err := ss.TryResult()
+	again, need, err := as.TryResult()
 	if err != nil || need != 0 || again != got {
 		t.Fatalf("repeated TryResult: %p need=%d err=%v, want cached %p", again, need, err, got)
 	}
@@ -120,23 +120,23 @@ func TestStreamSessionEarlyDecision(t *testing.T) {
 // least one window; the need must shrink as audio arrives and never demand
 // more than the recording holds.
 func TestStreamSessionNeedProgression(t *testing.T) {
-	ss := openStream(t, 7)
-	_, need, err := ss.TryResult()
+	as := openStream(t, 7)
+	_, need, err := as.TryResult()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if need <= 0 {
 		t.Fatalf("empty session reported need %d", need)
 	}
-	feedInterleaved(t, ss, 4096, [2]int{8192, 8192})
-	_, need2, err := ss.TryResult()
+	feedInterleaved(t, as, 4096, [2]int{8192, 8192})
+	_, need2, err := as.TryResult()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if need2 != need-8192 {
 		t.Fatalf("need went %d → %d after feeding 8192 per role, want %d", need, need2, need-8192)
 	}
-	if max := len(ss.Recording(RoleAuth)); need2 > max {
+	if max := len(as.Recording(RoleAuth)); need2 > max {
 		t.Fatalf("need %d exceeds recording %d", need2, max)
 	}
 }
@@ -147,60 +147,109 @@ func TestOpenStreamRejectsCCMode(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = DetectCrossCorrelation
 	auth, vouch := newPair(t, 0.8, true)
-	la, lv, err := bluetooth.Pair(auth, vouch, cfg.BTLatency, cfg.BTRangeM)
+	a, err := NewAuthenticator(cfg, auth, vouch, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenACTIONStream(SessionDeps{}, cfg, auth, vouch, la, lv, rand.New(rand.NewSource(1)), nil, false); err == nil {
+	if _, err := a.OpenStreamContext(nil); err == nil {
 		t.Fatal("CC-mode stream accepted")
 	}
 }
 
-// TestAuthStreamMatchesAuthenticate: the public streaming decision must be
-// byte-identical to Authenticate for the same seed, and account the same
-// energy.
+// TestAuthStreamMatchesAuthenticate: the public streaming decision — fed
+// chunk by chunk or born fed — must be byte-identical to Authenticate for
+// the same seed, and every path must account the same energy exactly once
+// (Measure included).
 func TestAuthStreamMatchesAuthenticate(t *testing.T) {
-	mk := func() *Authenticator {
+	newLedger := func() *energy.Ledger {
+		l, err := energy.NewLedger(energy.DefaultPowerModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	mk := func() (*Authenticator, *energy.Ledger) {
 		cfg := DefaultConfig()
 		auth, vouch := newPair(t, 0.5, true)
 		a, err := NewAuthenticator(cfg, auth, vouch, rand.New(rand.NewSource(4)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		l := newLedger()
+		a.TrackEnergy(l, nil)
+		return a, l
 	}
-	want, err := mk().Authenticate()
+	a, wantLedger := mk()
+	want, err := a.Authenticate()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Equal totals across paths would miss a double booking they all
+	// share, so Authenticate must also match one session booked by hand.
+	once := newLedger()
+	a.TrackEnergy(once, nil)
+	a.account(want.Session)
+	if g, w := wantLedger.TotalJoules(), once.TotalJoules(); w <= 0 || g != w {
+		t.Fatalf("Authenticate booked %.6f J, one session is %.6f J", g, w)
 	}
 
-	as, err := mk().OpenStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, role := range []Role{RoleAuth, RoleVouch} {
-		if err := as.Feed(role, as.Recording(role)); err != nil {
+	for _, fed := range []bool{false, true} {
+		a, ledger := mk()
+		open := a.OpenStreamContext
+		if fed {
+			open = a.OpenFedStreamContext
+		}
+		as, err := open(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if !fed {
+			for _, role := range []Role{RoleAuth, RoleVouch} {
+				if err := as.Feed(role, as.Recording(role)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got, need, err := as.TryResult()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if need != 0 {
+			t.Fatalf("fed=%v: full feed still needs %d", fed, need)
+		}
+		if got.Granted != want.Granted || got.Reason != want.Reason ||
+			math.Float64bits(got.DistanceM) != math.Float64bits(want.DistanceM) {
+			t.Fatalf("fed=%v: stream decision %+v != batch %+v", fed, got, want)
+		}
+		if *got.Session != *want.Session {
+			t.Fatalf("fed=%v: stream session %+v != batch %+v", fed, got.Session, want.Session)
+		}
+		if _, _, err := as.TryResult(); err != nil {
+			t.Fatal(err)
+		}
+		if g, w := ledger.TotalJoules(), wantLedger.TotalJoules(); g != w {
+			t.Fatalf("fed=%v: stream booked %.6f J, Authenticate %.6f J", fed, g, w)
+		}
 	}
-	got, need, err := as.TryResult()
+
+	a, ledger := mk()
+	sr, err := a.Measure()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if need != 0 {
-		t.Fatalf("full feed still needs %d", need)
+	if *sr != *want.Session {
+		t.Fatalf("measured session %+v != authenticated %+v", sr, want.Session)
 	}
-	if got.Granted != want.Granted || got.Reason != want.Reason ||
-		math.Float64bits(got.DistanceM) != math.Float64bits(want.DistanceM) {
-		t.Fatalf("stream decision %+v != batch %+v", got, want)
-	}
-	if *got.Session != *want.Session {
-		t.Fatalf("stream session %+v != batch %+v", got.Session, want.Session)
+	if g, w := ledger.TotalJoules(), wantLedger.TotalJoules(); g != w {
+		t.Fatalf("Measure booked %.6f J, Authenticate %.6f J", g, w)
 	}
 }
 
 // TestAuthStreamOutOfRangePreDecided: Bluetooth unreachability decides the
-// stream at open time, without running ACTION or accepting audio.
+// stream at open time, without running ACTION or accepting audio. The
+// batch entry points keep their own semantics: Authenticate denies the
+// same way, and Measure — which makes no access decision — fails with
+// bluetooth.ErrOutOfRange.
 func TestAuthStreamOutOfRangePreDecided(t *testing.T) {
 	cfg := DefaultConfig()
 	auth, vouch := newPair(t, 1.0, true)
@@ -209,7 +258,7 @@ func TestAuthStreamOutOfRangePreDecided(t *testing.T) {
 		t.Fatal(err)
 	}
 	vouch.SetPosition([2]float64{12, 0}) // beyond the 10 m BT range
-	as, err := a.OpenStream()
+	as, err := a.OpenStreamContext(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,5 +274,16 @@ func TestAuthStreamOutOfRangePreDecided(t *testing.T) {
 	}
 	if err := as.Feed(RoleAuth, make([]int16, 16)); !errors.Is(err, ErrStreamDecided) {
 		t.Fatalf("feed returned %v, want ErrStreamDecided", err)
+	}
+
+	res, err = a.Authenticate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Granted || res.Reason != ReasonBluetoothOutOfRange || res.Session != nil {
+		t.Fatalf("Authenticate out of range: got %+v", res)
+	}
+	if sr, err := a.Measure(); !errors.Is(err, bluetooth.ErrOutOfRange) {
+		t.Fatalf("Measure out of range: got (%+v, %v), want bluetooth.ErrOutOfRange", sr, err)
 	}
 }

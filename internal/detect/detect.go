@@ -220,9 +220,8 @@ func (e *PanicError) Error() string {
 // per-window heap allocations. Must not be copied after first use.
 //
 // By default each scan fans out over transient goroutines (≤ GOMAXPROCS).
-// A long-lived service instead attaches a shared Pool (UsePool) and a
-// pinned plan set (UsePlans), so concurrent sessions batch their windows
-// through one bounded worker set and one FFT plan per window length.
+// A long-lived service instead attaches a shared Pool (UsePool), so
+// concurrent sessions batch their windows through one bounded worker set.
 // Scores are always reduced in window order, so the attachment never
 // changes results.
 type Detector struct {
@@ -231,11 +230,6 @@ type Detector struct {
 	// pool, when non-nil, supplies scan workers instead of per-scan
 	// goroutine fan-out. Set once before first use (UsePool).
 	pool *Pool
-	// plans, when non-nil, resolves FFT plans with a pinned lock-free
-	// lookup instead of the process-wide cache. Set once before first use
-	// (UsePlans).
-	plans *dsp.PlanSet
-
 	// disableStream forces exact per-window FFTs even when the streaming
 	// break-even would choose the sliding engine. Used by benchmarks and
 	// A/B tests to measure the engine choice itself; production code
@@ -352,10 +346,6 @@ func New(cfg Config) (*Detector, error) {
 // before the first scan; a nil pool restores the default fan-out.
 func (d *Detector) UsePool(p *Pool) { d.pool = p }
 
-// UsePlans attaches a pinned FFT plan set (see dsp.PlanSet). Call before
-// the first scan; a nil set restores the process-wide plan cache.
-func (d *Detector) UsePlans(ps *dsp.PlanSet) { d.plans = ps }
-
 // getWorkspace checks a workspace for window length n out of the pool,
 // building one (with the process-shared FFT plan) on a miss or length
 // change.
@@ -368,13 +358,7 @@ func (d *Detector) getWorkspace(n int) (*scanWorkspace, error) {
 		// Window length changed (different signal params): drop the stale
 		// workspace and build a fresh one.
 	}
-	var plan *dsp.FFTPlan
-	var err error
-	if d.plans != nil {
-		plan, err = d.plans.Plan(n)
-	} else {
-		plan, err = dsp.SharedFFTPlan(n)
-	}
+	plan, err := dsp.SharedFFTPlan(n)
 	if err != nil {
 		return nil, err
 	}
@@ -977,7 +961,7 @@ func (d *Detector) scanWorker(j *scanJob, next *atomic.Int64) (err error) {
 }
 
 // Prewarm builds and pools workers scan workspaces sized for signals drawn
-// from p: the pinned FFT plan, the full-length spectrum buffer, the packed
+// from p: the shared FFT plan, the full-length spectrum buffer, the packed
 // FFT scratch, and — when the configured coarse step streams — the
 // sliding-DFT state and its shared rotation table. A long-lived service
 // calls this at construction so steady-state traffic never pays cold-start

@@ -182,9 +182,6 @@ func (d *Detector) newStream(total int, sigs []*sigref.Signal) (*Stream, error) 
 	}, nil
 }
 
-// Total returns the declared recording length in samples.
-func (st *Stream) Total() int { return st.total }
-
 // Fed returns how many samples have arrived so far.
 func (st *Stream) Fed() int {
 	st.mu.Lock()

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/acoustic-auth/piano/internal/dsp"
 	"github.com/acoustic-auth/piano/internal/sigref"
 )
 
@@ -66,8 +65,8 @@ func TestScanWindowsBoundsGuard(t *testing.T) {
 	}
 }
 
-// TestPooledScanMatchesUnpooled: attaching a shared Pool (and pinned plan
-// set) must not change any detection output bit.
+// TestPooledScanMatchesUnpooled: attaching a shared Pool must not change
+// any detection output bit.
 func TestPooledScanMatchesUnpooled(t *testing.T) {
 	p := sigref.DefaultParams()
 	rng := rand.New(rand.NewSource(11))
@@ -95,16 +94,11 @@ func TestPooledScanMatchesUnpooled(t *testing.T) {
 
 	pool := NewPool(4)
 	defer pool.Close()
-	plans, err := dsp.NewPlanSet(p.Length)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pooled, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pooled.UsePool(pool)
-	pooled.UsePlans(plans)
 
 	for trial := 0; trial < 3; trial++ {
 		got, err := detectFloat(pooled, rec, sigA, sigB)

@@ -476,7 +476,7 @@ type bandRot struct {
 
 // bandRotTable returns the cached rotation table for [lo, hi), building it
 // on first use. Tables are shared by every SlidingBandDFT on this plan (and
-// hence pinned for the lifetime of a PlanSet that pins the plan).
+// hence live as long as the plan: for a SharedFFTPlan, the process).
 func (p *FFTPlan) bandRotTable(lo, hi int) *bandRot {
 	key := uint64(lo)<<32 | uint64(uint32(hi))
 	if r, ok := p.rots.Load(key); ok {

@@ -5,12 +5,11 @@
 // One AuthService owns, for its whole lifetime: a bounded detect.Pool of
 // scan workers shared by every session (concurrent sessions batch their
 // Step-IV windows through one worker set instead of each fanning out its
-// own goroutines); one shared detect.Detector whose pooled FFT workspaces
-// and score buffers are recycled across sessions; and a dsp.PlanSet pinning
-// one FFT plan per window length the configured signal design can produce,
-// resolved lock-free on the hot path. Construction prewarms one scan
-// workspace per worker, so steady-state traffic allocates nothing on the
-// scan path.
+// own goroutines); and one shared detect.Detector whose pooled FFT
+// workspaces and score buffers are recycled across sessions. Construction
+// prewarms one scan workspace per worker plus one for the submitting
+// goroutine, so steady-state traffic allocates nothing on the scan path
+// and resolves no FFT plan.
 //
 // Invariants: each Authenticate call is one complete PIANO session with a
 // session-private seeded RNG stream; because every random draw a session

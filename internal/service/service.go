@@ -15,7 +15,6 @@ import (
 	"github.com/acoustic-auth/piano/internal/core"
 	"github.com/acoustic-auth/piano/internal/detect"
 	"github.com/acoustic-auth/piano/internal/device"
-	"github.com/acoustic-auth/piano/internal/dsp"
 )
 
 // ErrClosed is returned by Authenticate after Close has begun: both for
@@ -152,12 +151,12 @@ type Request struct {
 
 // AuthService is the long-lived batched authentication server. It is safe
 // for concurrent use; sessions run concurrently up to MaxSessions while
-// sharing one detect worker pool and one pinned FFT plan set.
+// sharing one detect worker pool and one detector.
 type AuthService struct {
 	cfg Config
 	// The one detection engine every session scans through: a bounded
-	// worker pool and a detector (with its pooled scan workspaces and
-	// pinned FFT plan set) attached to it.
+	// worker pool and a detector (with its pooled scan workspaces)
+	// attached to it.
 	pool *detect.Pool
 	det  *detect.Detector
 
@@ -197,17 +196,12 @@ func New(cfg Config) (*AuthService, error) {
 	if cfg.MaxSessions == 0 {
 		cfg.MaxSessions = 4 * cfg.Workers
 	}
-	plans, err := dsp.NewPlanSet(cfg.Core.Signal.Length)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
 	det, err := detect.New(cfg.Core.Detect)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	pool := detect.NewPool(cfg.Workers)
 	det.UsePool(pool)
-	det.UsePlans(plans)
 	// One workspace per worker plus one for the submitting goroutine.
 	if err := det.Prewarm(cfg.Core.Signal, cfg.Workers+1); err != nil {
 		pool.Close()
