@@ -552,7 +552,7 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	fs.BoolVar(&o.stream, "stream", false, "drive the online session API instead of batch Authenticate")
 	fs.BoolVar(&o.retry, "retry", false, "retry ErrOverloaded sheds with the default RetryPolicy")
 	fs.Int64Var(&o.seed, "seed", 1, "run seed: per-session request seeds, arrival schedules, retry jitter")
-	fs.IntVar(&o.workers, "workers", 0, "detect worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.workers, "workers", 0, "prewarmed scan workspaces (workers+1) and default session bound basis (0 = GOMAXPROCS)")
 	fs.IntVar(&o.maxSessions, "max-sessions", 0, "concurrent-session bound (0 = 4 × workers)")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "admission queue depth bound (0 = unbounded)")
 	fs.DurationVar(&o.queueWait, "queue-wait", 0, "admission queue wait bound (0 = unbounded)")

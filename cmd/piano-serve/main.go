@@ -1,7 +1,7 @@
 // Command piano-serve demonstrates the batched multi-session
 // authentication service: a long-lived piano.Service absorbing a burst of
-// concurrent sessions from many device pairs, with all signal-detection
-// work batched through one shared worker pool.
+// concurrent sessions from many device pairs, with all signal detection
+// run through one shared detector.
 //
 // It runs the same workload twice — first as a serial loop over the
 // classic one-pairing Deployment path, then as concurrent sessions through
@@ -254,8 +254,12 @@ func runStreamDemo(ctx context.Context, w io.Writer, reqs []piano.AuthRequest, w
 
 	// Arm the lifecycle watchdog: the idle bound must comfortably exceed
 	// the longest legitimate inter-chunk gap the model can draw (jittered
-	// period plus a worst-case underrun), scaled by the pace.
-	idle := 250 * time.Millisecond
+	// period plus a worst-case underrun), scaled by the pace. The 2 s floor
+	// (the whole bound at pace 0, where feeds have no modelled gaps) leaves
+	// room for a healthy feeder starved of CPU on a busy machine, and stays
+	// below the default 5 s -drain-timeout so abandoned clients are still
+	// reaped within the drain.
+	idle := 2 * time.Second
 	if o.pace > 0 {
 		maxGapMS := (float64(o.chunkMS)*(1+o.jitter) + 250) / o.pace
 		if with := time.Duration(4 * maxGapMS * float64(time.Millisecond)); with > idle {
@@ -528,7 +532,7 @@ drain:
 func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("piano-serve", flag.ContinueOnError)
 	sessions := fs.Int("sessions", 8, "number of authentication sessions in the burst")
-	workers := fs.Int("workers", 0, "detect worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "prewarmed scan workspaces (workers+1) and default session bound basis (0 = GOMAXPROCS)")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "how long shutdown waits for in-flight sessions to drain")
 	chaos := fs.Bool("chaos", false, "inject faults (admission stalls, session panics, slow scans) into the service pass")
 	chaosSeed := fs.Int64("chaos-seed", 42, "fault-injection RNG seed (with -chaos)")
@@ -704,8 +708,8 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 		serialDur.Seconds()*1e3, serialRate)
 	fmt.Fprintf(w, "batched service:    %8.1f ms burst, %6.2f sessions/s over %d completed (%.2fx)\n",
 		svcDur.Seconds()*1e3, svcRate, completed, svcRate/serialRate)
-	fmt.Fprintln(w, "\n(the speedup scales with cores: sessions overlap through the shared")
-	fmt.Fprintln(w, " worker pool, so a 1-core machine shows ~1x and an 8-core machine")
+	fmt.Fprintln(w, "\n(the speedup scales with cores: sessions and their scan helpers share")
+	fmt.Fprintln(w, " the machine's cores, so a 1-core machine shows ~1x and an 8-core machine")
 	fmt.Fprintln(w, " approaches the core count; see PERFORMANCE.md)")
 	return nil
 }

@@ -23,9 +23,9 @@
 //
 // A Deployment is one pairing running one session at a time. Always-on
 // hubs that authenticate many users concurrently use a Service instead: a
-// long-lived server that accepts concurrent Authenticate calls and batches
-// every session's signal-detection work through one bounded worker pool
-// with FFT plans pinned per window length. Detection runs the band-limited
+// long-lived server that accepts concurrent Authenticate calls and runs
+// every session's signal detection through one shared detector with FFT
+// plans pinned per window length. Detection runs the band-limited
 // scan engine — per-window spectra are computed only over the candidate
 // band Algorithm 2 reads, streamed incrementally between windows when the
 // scan step is below the measured sliding-DFT break-even — and the service

@@ -114,7 +114,7 @@ func (a *Authenticator) SetThreshold(m float64) error {
 }
 
 // UseDetector attaches a shared Step-IV detector (typically service-owned,
-// with a worker pool and prewarmed scratch) so this pairing's sessions stop
+// with prewarmed scratch) so this pairing's sessions stop
 // building per-session detection machinery. The detector's parameters must
 // equal the deployment's Detect config; sessions fail otherwise. Call
 // before authenticating; a nil detector restores self-contained sessions.

@@ -36,17 +36,14 @@ func runSession(t *testing.T, seed int64, det *detect.Detector,
 }
 
 // TestInjectedDetectorBitIdentical: a session driven by a service-shared
-// detector (worker pool) must reproduce the self-contained session bit for
-// bit.
+// detector (its pooled workspaces reused across sessions) must reproduce
+// the self-contained session bit for bit.
 func TestInjectedDetectorBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	det, err := detect.New(cfg.Detect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := detect.NewPool(3)
-	defer pool.Close()
-	det.UsePool(pool)
 
 	for _, seed := range []int64{1, 42, 977} {
 		plain := runSession(t, seed, nil, nil)

@@ -194,13 +194,13 @@ type Result struct {
 	CoarseScanned int
 }
 
-// PanicError is a panic recovered inside the scan engine (a pool worker,
-// a transient scan goroutine, or the submitting goroutine's own share of a
-// scan), converted to an error so one crashing scan cannot take down the
-// process or the shared worker pool. The workspace the panicking goroutine
-// held is discarded, not recycled, so later scans never see its
-// potentially corrupted scratch; the service layer wraps PanicError into
-// its typed ErrInternal and re-prewarms a replacement workspace.
+// PanicError is a panic recovered inside the scan engine (a transient
+// helper goroutine, or the submitting goroutine's own share of a scan),
+// converted to an error so one crashing scan cannot take down the process.
+// The workspace the panicking goroutine held is discarded, not recycled, so
+// later scans never see its potentially corrupted scratch; the service
+// layer wraps PanicError into its typed ErrInternal and re-prewarms a
+// replacement workspace.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -219,17 +219,13 @@ func (e *PanicError) Error() string {
 // (FFT workspaces and score buffers), so steady-state scans perform no
 // per-window heap allocations. Must not be copied after first use.
 //
-// By default each scan fans out over transient goroutines (≤ GOMAXPROCS).
-// A long-lived service instead attaches a shared Pool (UsePool), so
-// concurrent sessions batch their windows through one bounded worker set.
-// Scores are always reduced in window order, so the attachment never
-// changes results.
+// Each scan fans out over transient helper goroutines (at most
+// GOMAXPROCS−1 beside the submitting goroutine) that exit when the scan
+// ends. Scores are always reduced in window order, so the number of
+// helpers never changes results.
 type Detector struct {
 	cfg Config
 
-	// pool, when non-nil, supplies scan workers instead of per-scan
-	// goroutine fan-out. Set once before first use (UsePool).
-	pool *Pool
 	// disableStream forces exact per-window FFTs even when the streaming
 	// break-even would choose the sliding engine. Used by benchmarks and
 	// A/B tests to measure the engine choice itself; production code
@@ -340,11 +336,6 @@ func New(cfg Config) (*Detector, error) {
 	}
 	return &Detector{cfg: cfg}, nil
 }
-
-// UsePool attaches a shared worker pool: scans stop spawning their own
-// goroutines and batch windows through the pool's workers instead. Call
-// before the first scan; a nil pool restores the default fan-out.
-func (d *Detector) UsePool(p *Pool) { d.pool = p }
 
 // getWorkspace checks a workspace for window length n out of the pool,
 // building one (with the process-shared FFT plan) on a miss or length
@@ -698,8 +689,8 @@ func (d *Detector) rescoreFinePeaks(ctx context.Context, rec recSource, winLen, 
 const fftScanBlock = 4
 
 // scanJob bundles one window-scan's parameters so block processing is
-// shared verbatim between the sequential fast path and pool workers — the
-// block grid, not the worker schedule, determines every score.
+// shared verbatim between the sequential fast path and helper goroutines —
+// the block grid, not the worker schedule, determines every score.
 type scanJob struct {
 	rec    recSource
 	winLen int
@@ -800,10 +791,9 @@ func (j *scanJob) score(w int, spec []float64) {
 // scanWindows scores the arithmetic window sequence lo, lo+step, … (count
 // windows) against every spec, writing scores[w*len(specs)+s] (and, when
 // gross is non-nil, the drift-relaxed streamed scores plus per-window gross
-// band power — see scanJob.gross). Workers — idle goroutines borrowed from
-// the attached Pool when one is set, transient goroutines (≤ GOMAXPROCS)
-// otherwise — claim contiguous blocks of hops off a shared atomic counter,
-// each with one pooled workspace.
+// band power — see scanJob.gross). The submitting goroutine and up to
+// GOMAXPROCS−1 transient helper goroutines claim contiguous blocks of hops
+// off a shared atomic counter, each with one pooled workspace.
 //
 // In FFT mode each window gets an exact band-restricted power spectrum
 // (dsp.FFTPlan.PowerSpectrumBandInto), so scores are independent of
@@ -856,9 +846,6 @@ func (d *Detector) scanWindows(ctx context.Context, rec recSource, winLen, lo, s
 	// parallel run by construction and steady-state allocations stay at
 	// zero. The shared atomic counter only ever sees one claimant here.
 	helpers := runtime.GOMAXPROCS(0) - 1
-	if d.pool != nil {
-		helpers = d.pool.Workers()
-	}
 	if helpers > job.blocks-1 {
 		helpers = job.blocks - 1
 	}
@@ -889,22 +876,12 @@ func (d *Detector) scanWindows(ctx context.Context, rec recSource, winLen, lo, s
 		}
 	}
 
-	// The submitting goroutine always participates; extra workers join up
-	// to the bound. With a pool attached only idle pool workers join (a
-	// busy pool never blocks a scan); without one, transient goroutines
-	// are spawned as before.
+	// The submitting goroutine always participates; helpers join up to
+	// the bound and all have exited by the time the scan returns.
 	var wg sync.WaitGroup
+	wg.Add(helpers)
 	for g := 0; g < helpers; g++ {
-		if d.pool != nil {
-			wg.Add(1)
-			if !d.pool.offer(func() { defer wg.Done(); work() }) {
-				wg.Done()
-				break // pool saturated; stop recruiting
-			}
-		} else {
-			wg.Add(1)
-			go func() { defer wg.Done(); work() }()
-		}
+		go func() { defer wg.Done(); work() }()
 	}
 	work()
 	wg.Wait()

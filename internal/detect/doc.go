@@ -11,9 +11,9 @@
 //
 // Key types: Config carries the algorithm parameters plus the candidate
 // band (derived by CandidateBand or pinned via CandidateBandLo/Hi, both
-// validated); Detector owns pooled per-worker scan workspaces; Pool is the
-// bounded worker set a batching service shares across sessions, with
-// cooperative idle-worker recruitment. Scans compute per-window spectra
+// validated); Detector owns pooled per-worker scan workspaces, and each
+// scan fans out over up to GOMAXPROCS−1 transient helper goroutines that
+// exit with the scan. Scans compute per-window spectra
 // only over the candidate band and switch to the streaming sliding-DFT
 // engine below the measured dsp.StreamingWins break-even — the default
 // fine step does, so the fine scan streams its hops and then re-scores
@@ -34,7 +34,7 @@
 // two signals of a session share every coarse-window spectrum (the
 // prototype's single-scan optimization).
 //
-// Invariants: scans are bit-deterministic at any GOMAXPROCS and pool size —
+// Invariants: scans are bit-deterministic at any GOMAXPROCS —
 // streaming-scan workers claim contiguous hop blocks aligned to the resync
 // grid, and window scores (and the fine scan's exact re-checks) reduce in
 // window order regardless of which worker computed them. Scan workspaces

@@ -199,8 +199,8 @@ func (st *Stream) CoarseScanned() int {
 }
 
 // Feed appends a chunk of PCM and scores every coarse window the new
-// samples completed, through the detector's shared scan engine (pool
-// workers, pooled scratch, cancellation checkpoints between hop blocks).
+// samples completed, through the detector's shared scan engine (transient
+// helpers, pooled scratch, cancellation checkpoints between hop blocks).
 // A chunk that would exceed the declared total is rejected whole with
 // ErrFeedOverflow, leaving the stream usable. A scan error (cancellation,
 // a recovered worker panic) leaves the appended audio in place with the

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -65,66 +64,15 @@ func TestScanWindowsBoundsGuard(t *testing.T) {
 	}
 }
 
-// TestPooledScanMatchesUnpooled: attaching a shared Pool must not change
-// any detection output bit.
-func TestPooledScanMatchesUnpooled(t *testing.T) {
-	p := sigref.DefaultParams()
-	rng := rand.New(rand.NewSource(11))
-	sigA, err := sigref.New(p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigB, err := sigref.New(p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := plantSignal(sigA, 40000, 6000, 0.5)
-	for i, v := range plantSignal(sigB, 40000, 21000, 0.5) {
-		rec[i] += v
-	}
-
-	plain, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := detectFloat(plain, rec, sigA, sigB)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool := NewPool(4)
-	defer pool.Close()
-	pooled, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled.UsePool(pool)
-
-	for trial := 0; trial < 3; trial++ {
-		got, err := detectFloat(pooled, rec, sigA, sigB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d signal %d: pooled %+v != unpooled %+v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestPooledScanConcurrentSessions: many goroutines sharing one pooled
-// Detector must each get the same answer they'd get alone (run under
-// -race in CI).
+// TestPooledScanConcurrentSessions: many goroutines sharing one Detector
+// (its pooled workspaces and score buffers) must each get the same answer
+// they'd get alone (run under -race in CI).
 func TestPooledScanConcurrentSessions(t *testing.T) {
 	p := sigref.DefaultParams()
 	det, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(3)
-	defer pool.Close()
-	det.UsePool(pool)
 
 	type job struct {
 		sig  *sigref.Signal
@@ -167,40 +115,5 @@ func TestPooledScanConcurrentSessions(t *testing.T) {
 		if got[i] != jobs[i].want {
 			t.Fatalf("job %d: concurrent %+v != serial %+v", i, got[i], jobs[i].want)
 		}
-	}
-}
-
-// TestPoolCloseDegradesGracefully: a closed pool declines work, and scans
-// complete on the submitting goroutine with identical results.
-func TestPoolCloseDegradesGracefully(t *testing.T) {
-	p := sigref.DefaultParams()
-	rng := rand.New(rand.NewSource(13))
-	sig, err := sigref.New(p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := plantSignal(sig, 25000, 4000, 0.5)
-
-	det, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewPool(2)
-	det.UsePool(pool)
-	want, err := detectOne(det, rec, sig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Close()
-	pool.Close() // idempotent
-	got, err := detectOne(det, rec, sig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("after Close %+v != before %+v", got, want)
-	}
-	if math.IsInf(got.Power, 1) {
-		t.Fatal("nonsense power")
 	}
 }

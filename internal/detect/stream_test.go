@@ -195,11 +195,10 @@ func TestStreamingCoarseScanFindsSignals(t *testing.T) {
 	}
 }
 
-// TestStreamingScanDeterministicAcrossGOMAXPROCS is the satellite
-// GOMAXPROCS-sweep: the range-claiming streaming coarse scan must produce
+// TestStreamingScanDeterministicAcrossGOMAXPROCS sweeps GOMAXPROCS: the
+// range-claiming streaming coarse scan must produce
 // bit-identical results no matter how many workers claim blocks — the
-// fixed block grid, not the schedule, defines every score. Swept with and
-// without a shared Pool attached.
+// fixed block grid, not the schedule, defines every score.
 func TestStreamingScanDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg := streamConfig(t)
 	rec, s1, s2 := benchRecording(t, 78, 30000)
@@ -224,25 +223,6 @@ func TestStreamingScanDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		for i := range base {
 			if got[i] != base[i] {
 				t.Fatalf("GOMAXPROCS=%d signal %d: %+v != single-worker %+v", procs, i, got[i], base[i])
-			}
-		}
-	}
-
-	pool := NewPool(5)
-	defer pool.Close()
-	pooled, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled.UsePool(pool)
-	for trial := 0; trial < 3; trial++ {
-		got, err := detectFloat(pooled, rec, s1, s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("pooled trial %d signal %d: %+v != %+v", trial, i, got[i], base[i])
 			}
 		}
 	}

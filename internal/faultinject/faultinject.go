@@ -23,7 +23,7 @@ const (
 	SiteServiceSession = "service.session"
 	// SiteDetectBlock fires once per claimed hop block in the detect scan
 	// engine — the innermost cancellation checkpoint. Panic here simulates
-	// a pool-worker crash mid-scan; delay simulates a slow-scan stall; a
+	// a scan-goroutine crash mid-scan; delay simulates a slow-scan stall; a
 	// Hook can cancel the session's context mid-scan.
 	SiteDetectBlock = "detect.block"
 	// SiteStreamFeed fires once per Session.Feed call on a streaming

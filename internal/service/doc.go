@@ -2,29 +2,27 @@
 // long-lived, concurrency-safe authentication service — the batched
 // multi-session server the always-on voice-powered hub deployment needs.
 //
-// One AuthService owns, for its whole lifetime: a bounded detect.Pool of
-// scan workers shared by every session (concurrent sessions batch their
-// Step-IV windows through one worker set instead of each fanning out its
-// own goroutines); and one shared detect.Detector whose pooled FFT
-// workspaces and score buffers are recycled across sessions. Construction
-// prewarms one scan workspace per worker plus one for the submitting
-// goroutine, so steady-state traffic allocates nothing on the scan path
-// and resolves no FFT plan.
+// One AuthService owns, for its whole lifetime, one shared
+// detect.Detector whose pooled FFT workspaces and score buffers are
+// recycled across sessions. Each session's Step-IV scan fans out over
+// transient helper goroutines (up to GOMAXPROCS−1) that exit when the scan
+// ends, so the service runs no long-lived scan workers. Construction
+// prewarms Workers+1 scan workspaces, so steady-state traffic allocates
+// nothing on the scan path and resolves no FFT plan.
 //
 // Invariants: each Authenticate call is one complete PIANO session with a
 // session-private seeded RNG stream; because every random draw a session
 // makes comes from its own stream, and window scores reduce in window order
-// regardless of which pool workers computed them, a session's result is
+// regardless of which goroutines computed them, a session's result is
 // bit-identical to running the same request through the serial
-// piano.Deployment path — at any concurrency level (race-tested). The pool
-// recruits a session's own goroutine when all workers are busy, so a
-// saturated service degrades to serial execution instead of deadlocking.
+// piano.Deployment path — at any concurrency level (race-tested).
 //
 // Failure semantics (PR 6 hardening; see ARCHITECTURE.md "Failure
 // semantics"): admission is deadline-aware — past MaxSessions a request
 // waits at most MaxQueueWait in a queue at most MaxQueueDepth deep and
 // sheds with ErrOverloaded beyond either bound; Close stops admission,
-// sheds queued waiters with ErrClosed, and drains admitted sessions.
+// sheds queued waiters with ErrClosed, drains admitted sessions, and
+// leaves no service goroutine running (TestServiceCloseLeavesNoGoroutines).
 // Cancellation is cooperative (between protocol steps and scan hop blocks)
 // and surfaces as the caller's bare ctx.Err(). A panic anywhere in a
 // session's pipeline is recovered into ErrInternal (the *InternalError
@@ -75,8 +73,8 @@
 // sessions, and the watchdog chaos tests race sweeps against Close under
 // fault injection (the service.watchdog site).
 //
-// One detection engine: every session scans through the same pool and
-// detector; the service never replicates them. Replicated per-worker-group
+// One detection engine: every session scans through the same detector;
+// the service never replicates it. Replicated per-worker-group
 // engines measured no faster than one on 2 vCPUs (PERFORMANCE.md, "one
 // detection engine per service").
 // New rejects negative Workers, MaxSessions and MaxQueueDepth with

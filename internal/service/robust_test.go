@@ -257,6 +257,73 @@ func TestServicePanicIsolation(t *testing.T) {
 	}
 }
 
+// TestServiceCloseLeavesNoGoroutines: scan helpers are transient and the
+// lifecycle watchdog exits with Close, so once Close returns a service that
+// ran batch, chunk-fed and framed sessions — plus one whose scan panicked,
+// and one left half-fed for Close to resolve — has left no goroutine
+// running. GOMAXPROCS 4 makes every scan recruit helpers.
+func TestServiceCloseLeavesNoGoroutines(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	before := runtime.NumGoroutine()
+
+	svc, err := New(Config{Core: core.DefaultConfig(), Workers: 2, SessionIdleTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Authenticate(pairRequest(0.8, 71)); err != nil {
+		t.Fatal(err)
+	}
+	chunked, err := svc.OpenSession(context.Background(), pairRequest(0.8, 72))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedSession(t, chunked, 4000, 0, 0)
+	if _, err := chunked.Result(); err != nil {
+		t.Fatal(err)
+	}
+	framed, err := svc.OpenSession(context.Background(), pairRequest(0.8, 73))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedCleanWire(t, framed, core.RoleAuth, 73)
+	feedCleanWire(t, framed, core.RoleVouch, 74)
+	if _, err := framed.Result(); err != nil {
+		t.Fatal(err)
+	}
+
+	faultinject.Enable(1)
+	faultinject.Arm(faultinject.SiteDetectBlock, faultinject.Fault{Action: faultinject.ActPanic, Skip: 2, Times: 1})
+	_, err = svc.Authenticate(pairRequest(0.8, 75))
+	faultinject.Disable()
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("scan panic returned %v, want ErrInternal", err)
+	}
+
+	open, err := svc.OpenSession(context.Background(), pairRequest(0.8, 76))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedSession(t, open, 4000, 4000, 4000)
+	svc.Close()
+	if _, err := open.Result(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("half-fed session after Close returned %v, want ErrClosed", err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before the service:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestServiceCloseShedsWaiters: the PR-6 Close/begin race regression — a
 // request already past inFlight.Add(1) but still waiting for a slot when
 // Close begins must observe the drain and return ErrClosed promptly, not be
@@ -356,7 +423,7 @@ func TestServiceSeedSweepAcrossGOMAXPROCS(t *testing.T) {
 // now owns. The same request set decides bit-identically (Float64bits on
 // the measured distance, plus the full session report) against a serial
 // baseline under GOMAXPROCS 1, 2, 4 and 8, with the sessions running
-// concurrently through the one shared pool and workspace freelist, and the
+// concurrently through the one shared detector and workspace freelist, and the
 // first request also decides identically as a streamed session. Runs under
 // -race in CI.
 func TestShardDeterminism(t *testing.T) {

@@ -63,8 +63,10 @@ type Config struct {
 	// for the service lifetime so the shared detector matches every
 	// session.
 	Core core.Config
-	// Workers sizes the shared detect worker pool (0 → GOMAXPROCS;
-	// negative values are rejected with ErrConfig).
+	// Workers sets how many scan workspaces are prewarmed (Workers+1) and
+	// the default MaxSessions (0 → GOMAXPROCS; negative values are
+	// rejected with ErrConfig). It does not bound a scan's fan-out: every
+	// scan recruits up to GOMAXPROCS−1 transient helper goroutines.
 	Workers int
 	// MaxSessions bounds the number of concurrently running sessions
 	// (0 → 4 × Workers; negative values are rejected with ErrConfig).
@@ -151,14 +153,12 @@ type Request struct {
 
 // AuthService is the long-lived batched authentication server. It is safe
 // for concurrent use; sessions run concurrently up to MaxSessions while
-// sharing one detect worker pool and one detector.
+// sharing one detector.
 type AuthService struct {
 	cfg Config
-	// The one detection engine every session scans through: a bounded
-	// worker pool and a detector (with its pooled scan workspaces)
-	// attached to it.
-	pool *detect.Pool
-	det  *detect.Detector
+	// The one detection engine every session scans through: a detector
+	// with its pooled scan workspaces.
+	det *detect.Detector
 
 	sem      chan struct{} // session slots
 	draining chan struct{} // closed when Close begins: sheds queued waiters
@@ -175,14 +175,12 @@ type AuthService struct {
 	streams  map[*Session]struct{} // open client sessions (reaped by the watchdog, force-resolved on Close)
 }
 
-// New validates cfg and builds the service's one detection engine: the
-// worker pool is started, the FFT plan for the configured window length is
-// built and pinned, and the detector is attached to both — with every
-// workspace
-// prewarmed (the full-length spectrum buffers, the packed FFT scratch, and,
-// when the configured steps stream, the sliding-DFT state and its rotation
-// table), so steady-state sessions run the band-limited engine
-// allocation-free from the first request.
+// New validates cfg and builds the service's one detection engine: the FFT
+// plan for the configured window length is built and pinned, and the
+// detector's Workers+1 workspaces are prewarmed (the full-length spectrum
+// buffers, the packed FFT scratch, and, when the configured steps stream,
+// the sliding-DFT state and its rotation table), so steady-state sessions
+// run the band-limited engine allocation-free from the first request.
 func New(cfg Config) (*AuthService, error) {
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
@@ -200,16 +198,12 @@ func New(cfg Config) (*AuthService, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	pool := detect.NewPool(cfg.Workers)
-	det.UsePool(pool)
 	// One workspace per worker plus one for the submitting goroutine.
 	if err := det.Prewarm(cfg.Core.Signal, cfg.Workers+1); err != nil {
-		pool.Close()
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	s := &AuthService{
 		cfg:      cfg,
-		pool:     pool,
 		det:      det,
 		sem:      make(chan struct{}, cfg.MaxSessions),
 		draining: make(chan struct{}),
@@ -367,7 +361,7 @@ func (s *AuthService) Authenticate(req Request) (*core.Result, error) {
 
 // AuthenticateContext runs one complete PIANO session under ctx and
 // returns the access decision: a Session born fed (scanned through the
-// shared worker pool as it opens), resolved before returning and
+// shared detector as it opens), resolved before returning and
 // bit-identical to a serial run of the same request. It is never
 // registered for reaping: Close drains it, and the lifecycle bounds never
 // apply to it. Failure semantics (see also ARCHITECTURE.md "Failure
@@ -379,7 +373,7 @@ func (s *AuthService) Authenticate(req Request) (*core.Result, error) {
 //     in the queue;
 //   - after admission, cancellation is cooperative: the session observes
 //     ctx between protocol steps and between scan hop blocks and returns
-//     ctx.Err(), freeing its slot and pool workers mid-scan;
+//     ctx.Err(), freeing its slot and scan helpers mid-scan;
 //   - a panic anywhere in the session pipeline is recovered into
 //     ErrInternal (errors.Is; the *InternalError carries the stack), the
 //     poisoned scan workspace is discarded, and a replacement is
@@ -461,9 +455,9 @@ func (s *AuthService) buildSession(req Request) (*core.Authenticator, []core.Ext
 // slot (they return ErrClosed), force-resolves every open streaming
 // session to ErrClosed (a streaming session holds its slot until its
 // decision, so an abandoned half-fed stream would otherwise stall the
-// drain forever), drains the sessions already admitted, and stops the
-// worker pool. Subsequent Authenticate calls return ErrClosed. Close is
-// idempotent.
+// drain forever), drains the sessions already admitted, and waits for the
+// lifecycle watchdog to exit, so no service goroutine outlives it.
+// Subsequent Authenticate calls return ErrClosed. Close is idempotent.
 func (s *AuthService) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -491,7 +485,6 @@ func (s *AuthService) Close() {
 	if s.watchdogDone != nil {
 		<-s.watchdogDone
 	}
-	s.pool.Close()
 }
 
 // replenish rebuilds one prewarmed scan workspace after a panic poisoned

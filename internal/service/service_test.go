@@ -84,7 +84,7 @@ func TestServiceOverrides(t *testing.T) {
 }
 
 // TestServiceWorkerCountInvariant: the same request must decide
-// bit-identically no matter how the pool is sized — the scan reduction is
+// bit-identically no matter what Workers is set to — the scan reduction is
 // in window order, so worker scheduling can never leak into results.
 func TestServiceWorkerCountInvariant(t *testing.T) {
 	reqs := []Request{
@@ -115,8 +115,8 @@ func TestServiceWorkerCountInvariant(t *testing.T) {
 }
 
 // TestShardWorkerDistribution keeps the name it had when Workers was split
-// across shards: the service's one pool gets the whole Workers budget, and
-// Workers 0 means GOMAXPROCS.
+// across shards: Workers 0 means GOMAXPROCS, and the defaulted Workers sets
+// the default MaxSessions (4 × Workers).
 func TestShardWorkerDistribution(t *testing.T) {
 	for _, tc := range []struct{ workers, want int }{
 		{workers: 0, want: runtime.GOMAXPROCS(0)},
@@ -125,8 +125,12 @@ func TestShardWorkerDistribution(t *testing.T) {
 		{workers: 5, want: 5},
 	} {
 		svc := newService(t, tc.workers)
-		if got := svc.pool.Workers(); got != tc.want {
-			t.Errorf("Workers %d built a pool of %d workers, want %d", tc.workers, got, tc.want)
+		cfg := svc.Config()
+		if cfg.Workers != tc.want {
+			t.Errorf("Workers %d defaulted to %d, want %d", tc.workers, cfg.Workers, tc.want)
+		}
+		if cfg.MaxSessions != 4*tc.want {
+			t.Errorf("Workers %d defaulted MaxSessions to %d, want %d", tc.workers, cfg.MaxSessions, 4*tc.want)
 		}
 		svc.Close()
 	}

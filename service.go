@@ -49,8 +49,10 @@ type ServiceConfig struct {
 	// ThresholdM is the default authentication threshold τ in meters
 	// (requests may override). Default: 1.0.
 	ThresholdM float64
-	// Workers sizes the shared detection worker pool. Default (0):
-	// GOMAXPROCS; negative values are rejected with ErrConfig.
+	// Workers sets how many scan workspaces the service prewarms
+	// (Workers+1) and the default MaxSessions. Default (0): GOMAXPROCS;
+	// negative values are rejected with ErrConfig. Each scan's fan-out
+	// follows GOMAXPROCS, not Workers.
 	Workers int
 	// MaxSessions bounds how many sessions run concurrently; further
 	// Authenticate calls wait for a slot. Default (0): 4 × Workers;
@@ -94,7 +96,7 @@ type ServiceConfig struct {
 }
 
 // DefaultServiceConfig mirrors DefaultConfig for the service surface:
-// office scenario, τ = 1 m, pool sized to the machine.
+// office scenario, τ = 1 m, Workers sized to the machine.
 func DefaultServiceConfig() ServiceConfig {
 	return ServiceConfig{Environment: Office, ThresholdM: 1.0}
 }
@@ -121,10 +123,10 @@ type AuthRequest struct {
 // Service is a long-lived, concurrency-safe PIANO authentication server —
 // the deployment shape of an always-on voice-powered hub serving many
 // users. Unlike a Deployment (one pairing, one session at a time), a
-// Service accepts concurrent Authenticate calls and batches all of their
-// signal-detection work through one bounded worker pool with FFT plans
-// pinned per window length, so scratch buffers stay pooled and caches stay
-// hot under load. Every session still gets its own seeded RNG stream:
+// Service accepts concurrent Authenticate calls and runs all of their
+// signal detection through one shared detector with FFT plans pinned per
+// window length, so scratch buffers stay pooled and caches stay hot under
+// load. Every session still gets its own seeded RNG stream:
 // results are bit-identical to running the same request serially.
 type Service struct {
 	svc *service.AuthService
@@ -169,7 +171,7 @@ func (s *Service) Authenticate(req AuthRequest) (*Decision, error) {
 
 // AuthenticateContext is Authenticate under a context: cancellation is
 // cooperative (observed between protocol steps and between scan hop
-// blocks), so an abandoned call frees its session slot and pool workers
+// blocks), so an abandoned call frees its session slot and scan helpers
 // mid-scan and returns ctx.Err(). Sessions that complete are bit-identical
 // to uncancelled runs; a nil ctx runs uncancellably. Typed failures:
 // ErrOverloaded (admission shed), ErrClosed (service draining/closed),

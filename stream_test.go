@@ -91,6 +91,47 @@ func TestAuthSessionTypedErrors(t *testing.T) {
 	if err := sess.Feed(RoleAuth, make([]int16, len(rec)+1)); !errors.Is(err, ErrFeedOverflow) {
 		t.Fatalf("over-length feed: %v, want ErrFeedOverflow", err)
 	}
+
+	// Hostile frames: empty payloads are harmless duplicates, frames outside
+	// the declared recording or failing their CRC are refused typed, and
+	// none of it costs allocations that grow with the recording length.
+	const maxRejectAllocs = 16
+	allocs := func(name string, fn func()) {
+		t.Helper()
+		if n := testing.AllocsPerRun(20, fn); n > maxRejectAllocs {
+			t.Errorf("%s: %.0f allocs per call, want at most %d", name, n, maxRejectAllocs)
+		}
+	}
+	empty := NewFrame(1, 0, nil)
+	if err := sess.FeedFrame(RoleAuth, empty); err != nil {
+		t.Fatalf("zero-length frame: %v, want nil", err)
+	}
+	if fed, dups := sess.Fed(RoleAuth), sess.FrameStats(RoleAuth).Dups; fed != 0 || dups != 1 {
+		t.Fatalf("zero-length frame: Fed %d, Dups %d; want 0, 1", fed, dups)
+	}
+	allocs("zero-length frame", func() { _ = sess.FeedFrame(RoleAuth, empty) })
+	if err := sess.FeedFrame(RoleAuth, NewFrame(2, len(rec), nil)); err != nil {
+		t.Fatalf("zero-length frame at the declared end: %v, want nil", err)
+	}
+	straddle := NewFrame(3, len(rec)-10, make([]int16, 20))
+	for _, f := range []Frame{straddle, NewFrame(4, -1, rec[:10]), NewFrame(5, math.MaxInt, rec[:10])} {
+		if err := sess.FeedFrame(RoleAuth, f); !errors.Is(err, ErrFrameRange) {
+			t.Fatalf("frame at offset %d with %d samples: %v, want ErrFrameRange", f.Offset, len(f.PCM), err)
+		}
+	}
+	allocs("straddling frame", func() { _ = sess.FeedFrame(RoleAuth, straddle) })
+	corrupt := NewFrame(6, 0, rec[:100])
+	corrupt.CRC ^= 1
+	if err := sess.FeedFrame(RoleAuth, corrupt); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("flipped-CRC frame: %v, want ErrFrameCorrupt", err)
+	}
+	allocs("corrupt frame", func() { _ = sess.FeedFrame(RoleAuth, corrupt) })
+	if fed := sess.Fed(RoleAuth); fed != 0 {
+		t.Fatalf("hostile frames fed %d samples, want 0", fed)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _, _ = sess.TryResult() }); n != 0 {
+		t.Errorf("pending TryResult: %.0f allocs per call, want 0", n)
+	}
 	for _, role := range []Role{RoleAuth, RoleVouch} {
 		if err := sess.Feed(role, sess.Recording(role)); err != nil {
 			t.Fatal(err)
