@@ -7,6 +7,7 @@ import (
 	"runtime"
 
 	"github.com/acoustic-auth/piano"
+	"github.com/acoustic-auth/piano/internal/client"
 )
 
 // The scaling grid: every combination of simulated core count (GOMAXPROCS,
@@ -94,7 +95,7 @@ func runGrid(ctx context.Context, w io.Writer, jsonPath string) error {
 					if err != nil {
 						return err
 					}
-					r := runLoad(ctx, svc, workload(sessions, 1), o)
+					r := runLoad(ctx, svc, client.Workload(sessions, 1), o)
 					svc.Close()
 					if rep == 0 || r.SessionsPerSec > s.SessionsPerSec {
 						s = r

@@ -22,7 +22,9 @@
 // arrival schedule (jittered chunk sizes, underrun bursts, clients that
 // stall or vanish mid-feed at -abandon-rate, reaped by the lifecycle
 // watchdog), with chunks delivered flat-out — the chunking stresses the
-// incremental scan path without slaving the run to audio real time.
+// incremental scan path without slaving the run to audio real time. The
+// feed loop is the shared client driver (internal/client), the same one
+// piano-serve -stream runs.
 //
 // -grid ignores the single-run flags and records the full scaling matrix —
 // GOMAXPROCS × concurrency × {batch, stream} — as the BENCH_loadgen.json
@@ -32,7 +34,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,6 +49,7 @@ import (
 
 	"github.com/acoustic-auth/piano"
 	"github.com/acoustic-auth/piano/internal/arrival"
+	"github.com/acoustic-auth/piano/internal/client"
 )
 
 func main() {
@@ -89,43 +91,20 @@ type opts struct {
 	corrupt float64
 }
 
-// framed reports whether the run feeds framed chunks over the lossy wire.
-func (o opts) framed() bool {
-	return o.loss > 0 || o.dup > 0 || o.reorder > 0 || o.corrupt > 0
-}
-
-// Shed categories, in report order. Every typed terminal error the service
-// can hand a load-generator client maps to exactly one of these; "other" is
-// reserved for errors the harness does not know — its count growing on a
-// known typed error is a reporting bug (pinned by TestCategoryCoversTypedErrors).
-var categories = []string{"overloaded", "closed", "stalled", "expired", "internal", "canceled", "insufficient", "other"}
-
-// category buckets one failed session by its typed cause. The reap
-// categories are checked before the context ones: a watchdog resolution is
-// reported as what the server decided (stalled/expired), never as the bare
-// context error the losing feeder also observed.
-func category(err error) string {
-	switch {
-	case errors.Is(err, piano.ErrSessionStalled):
-		return "stalled"
-	case errors.Is(err, piano.ErrSessionExpired):
-		return "expired"
-	case errors.Is(err, piano.ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, piano.ErrClosed):
-		return "closed"
-	case errors.Is(err, piano.ErrInternal):
-		return "internal"
-	case errors.Is(err, piano.ErrInsufficientAudio):
-		// The transport lost audio the decision would have had to trust;
-		// the server refused typed rather than guess. First-class, never
-		// "other": operators alert on this one separately.
-		return "insufficient"
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return "canceled"
-	default:
-		return "other"
+// schedule is the stream-mode client's feed plan: the arrival model, the
+// lossy wire when any wire knob is set, fed flat out.
+func (o opts) schedule() client.Schedule {
+	s := client.Schedule{Arrival: arrival.Config{
+		ChunkMS:      o.chunkMS,
+		Jitter:       o.jitter,
+		UnderrunProb: o.underrun,
+		StallProb:    o.abandonRate / 2,
+		AbandonProb:  o.abandonRate - o.abandonRate/2,
+	}}
+	if w := (arrival.WireConfig{LossProb: o.loss, DupProb: o.dup, ReorderProb: o.reorder, CorruptProb: o.corrupt}); w != (arrival.WireConfig{}) {
+		s.Wire = &w
 	}
+	return s
 }
 
 // Percentiles is the decision-latency distribution of completed sessions.
@@ -179,25 +158,9 @@ type outcome struct {
 
 // driver runs sessions against one service under one opts set.
 type driver struct {
-	svc    *piano.Service
-	o      opts
-	arrCfg arrival.Config
-}
-
-// workload builds one request per simulated user: device pairs staggered
-// around the threshold, distinct skews, per-session seeds derived from the
-// run seed so every run is replayable.
-func workload(sessions int, seed int64) []piano.AuthRequest {
-	reqs := make([]piano.AuthRequest, sessions)
-	for i := range reqs {
-		dist := 0.3 + 0.15*float64(i%10)
-		reqs[i] = piano.AuthRequest{
-			Auth:  piano.DeviceSpec{Name: fmt.Sprintf("hub-%d", i), X: 0, Y: 0, ClockSkewPPM: float64(5 + i%25)},
-			Vouch: piano.DeviceSpec{Name: fmt.Sprintf("watch-%d", i), X: dist, Y: 0, ClockSkewPPM: -float64(3 + i%20)},
-			Seed:  seed + int64(i),
-		}
-	}
-	return reqs
+	svc   *piano.Service
+	o     opts
+	sched client.Schedule
 }
 
 // one runs a single session to its terminal state.
@@ -219,159 +182,29 @@ func (d *driver) one(ctx context.Context, req piano.AuthRequest) outcome {
 	return outcome{lat: time.Since(start), granted: dec.Granted}
 }
 
-// oneStream runs a single streaming session: open, feed both roles on their
-// seeded arrival chunk schedules (flat-out — the schedule shapes the
-// chunking, not the pacing), decide at the horizon. A client whose drawn
-// fate is Stall/Abandon stops feeding and waits for the lifecycle watchdog
-// to reap the session with a typed error, exactly like a vanished device.
+// oneStream runs a single streaming session: open, then feed both roles
+// on their seeded schedules flat out (the schedule shapes the chunking,
+// not the pacing) until the session decides. A client whose drawn fate is
+// Stall/Abandon stops feeding, never closes, and polls gently until the
+// lifecycle watchdog reaps the session with a typed error, exactly like a
+// vanished device; audio already past the horizon may still decide.
 func (d *driver) oneStream(ctx context.Context, req piano.AuthRequest) outcome {
-	if d.o.framed() {
-		return d.oneStreamFramed(ctx, req)
-	}
 	start := time.Now()
 	sess, err := d.svc.OpenSessionContext(ctx, req)
 	if err != nil {
 		return outcome{err: err}
 	}
-	roles := []piano.Role{piano.RoleAuth, piano.RoleVouch}
-	src := map[piano.Role]*arrival.Source{}
-	for ri, role := range roles {
-		if src[role], err = arrival.New(d.arrCfg, req.Seed*2+int64(ri)); err != nil {
-			sess.Close()
-			return outcome{err: err}
-		}
-	}
-	at := map[piano.Role]int{}
-	alive := true
-	for alive {
-		fedAny := false
-		for _, role := range roles {
-			rec := sess.Recording(role)
-			ev := src[role].Next(at[role], len(rec))
-			switch ev.Kind {
-			case arrival.Chunk, arrival.Underrun:
-				if ferr := sess.Feed(role, rec[at[role]:at[role]+ev.N]); ferr != nil {
-					if errors.Is(ferr, piano.ErrStreamDecided) {
-						break // decided on the other role's feed; fetch below
-					}
-					return outcome{err: ferr}
-				}
-				at[role] += ev.N
-				fedAny = true
-			case arrival.Stall, arrival.Abandon:
-				alive = false
-			}
-		}
-		if !alive || ctx.Err() != nil {
-			break
-		}
-		dec, need, terr := sess.TryResult()
-		if terr != nil {
-			return outcome{err: terr}
-		}
-		if need == 0 {
-			return outcome{lat: time.Since(start), granted: dec.Granted}
-		}
-		if !fedAny {
-			return outcome{err: fmt.Errorf("session undecided after the full feed (need %d)", need)}
-		}
-	}
-	// The client vanished (or the run was interrupted): do what a dead
-	// client does — stop feeding, never Close — and poll gently until the
-	// watchdog (or cancellation) resolves the session with a typed error.
-	// Audio already past the horizon may still decide during the wait.
-	for {
-		dec, need, terr := sess.TryResult()
-		if terr != nil {
-			return outcome{err: terr}
-		}
-		if need == 0 {
-			return outcome{lat: time.Since(start), granted: dec.Granted}
-		}
+	rep, err := client.Drive(ctx, sess, req.Seed, d.sched)
+	dec := rep.Decision
+	for err == nil && dec == nil {
 		time.Sleep(20 * time.Millisecond)
+		dec, _, err = sess.TryResult()
 	}
-}
-
-// oneStreamFramed runs a single streaming session over the lossy wire:
-// each role's frames arrive on their seeded wire schedule — dropped,
-// duplicated, reordered, corrupted — and the session reassembles them,
-// deciding early when it can. Corrupt frames are refused typed by the
-// server and this client does not retransmit (no NACK channel), so they
-// become gaps; once a role's schedule is exhausted the client declares
-// that transport finished and unrepaired gaps become loss. A session past
-// the loss ceiling resolves ErrInsufficientAudio — the "insufficient"
-// category — and a decision that survived loss is counted degraded.
-func (d *driver) oneStreamFramed(ctx context.Context, req piano.AuthRequest) outcome {
-	start := time.Now()
-	sess, err := d.svc.OpenSessionContext(ctx, req)
 	if err != nil {
+		sess.Close()
 		return outcome{err: err}
 	}
-	wire := arrival.WireConfig{
-		LossProb:    d.o.loss,
-		DupProb:     d.o.dup,
-		ReorderProb: d.o.reorder,
-		CorruptProb: d.o.corrupt,
-	}
-	roles := []piano.Role{piano.RoleAuth, piano.RoleVouch}
-	evs := map[piano.Role][]arrival.WireEvent{}
-	for ri, role := range roles {
-		evs[role], err = arrival.Wire(d.arrCfg, wire, req.Seed*2+int64(ri), len(sess.Recording(role)))
-		if err != nil {
-			sess.Close()
-			return outcome{err: err}
-		}
-	}
-	at := map[piano.Role]int{}
-	finished := map[piano.Role]bool{}
-	for {
-		fedAny := false
-		for _, role := range roles {
-			if finished[role] {
-				continue
-			}
-			rec := sess.Recording(role)
-			if at[role] >= len(evs[role]) {
-				// Schedule exhausted: the transport is done; gaps become
-				// loss now rather than waiting forever.
-				if ferr := sess.FinishFeed(role); ferr != nil && !errors.Is(ferr, piano.ErrStreamDecided) {
-					return outcome{err: ferr}
-				}
-				finished[role] = true
-				continue
-			}
-			ev := evs[role][at[role]]
-			at[role]++
-			f := piano.NewFrame(ev.Seq, ev.Offset, rec[ev.Offset:ev.Offset+ev.N])
-			if ev.Corrupt {
-				f.CRC ^= 0xDEAD
-			}
-			ferr := sess.FeedFrame(role, f)
-			switch {
-			case ferr == nil, errors.Is(ferr, piano.ErrFrameCorrupt):
-				fedAny = true
-			case errors.Is(ferr, piano.ErrStreamDecided):
-				// Decided on the other role's feed; fetch below.
-			default:
-				return outcome{err: ferr}
-			}
-		}
-		if ctx.Err() != nil {
-			sess.Close()
-			_, rerr := sess.Result()
-			return outcome{err: rerr}
-		}
-		dec, need, terr := sess.TryResult()
-		if terr != nil {
-			return outcome{err: terr}
-		}
-		if need == 0 {
-			return outcome{lat: time.Since(start), granted: dec.Granted, degraded: dec.Degraded != nil}
-		}
-		if !fedAny && finished[roles[0]] && finished[roles[1]] {
-			return outcome{err: fmt.Errorf("session undecided after the full framed feed (need %d)", need)}
-		}
-	}
+	return outcome{lat: time.Since(start), granted: dec.Granted, degraded: dec.Degraded != nil}
 }
 
 // sleepCtx waits d or until ctx is done, whichever comes first.
@@ -392,13 +225,7 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 // shared counter. Open loop: one goroutine per arrival, launched on the
 // seeded Poisson schedule regardless of how many are still in flight.
 func runLoad(ctx context.Context, svc *piano.Service, reqs []piano.AuthRequest, o opts) Summary {
-	d := &driver{svc: svc, o: o, arrCfg: arrival.Config{
-		ChunkMS:      o.chunkMS,
-		Jitter:       o.jitter,
-		UnderrunProb: o.underrun,
-		StallProb:    o.abandonRate / 2,
-		AbandonProb:  o.abandonRate - o.abandonRate/2,
-	}}
+	d := &driver{svc: svc, o: o, sched: o.schedule()}
 	outcomes := make([]outcome, len(reqs))
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -467,7 +294,7 @@ func summarize(outcomes []outcome, wall time.Duration, o opts) Summary {
 	var lats []time.Duration
 	for _, out := range outcomes {
 		if out.err != nil {
-			s.Shed[category(out.err)]++
+			s.Shed[client.Category(out.err)]++
 			continue
 		}
 		s.Completed++
@@ -513,7 +340,7 @@ func printSummary(w io.Writer, s Summary) {
 	}
 	if shed > 0 {
 		fmt.Fprintf(w, "shed %d/%d:", shed, s.Sessions)
-		for _, cat := range categories {
+		for _, cat := range client.Categories {
 			if n := s.Shed[cat]; n > 0 {
 				fmt.Fprintf(w, " %s=%d", cat, n)
 			}
@@ -583,16 +410,15 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	if o.abandonRate > 0 && o.idleTimeout <= 0 {
 		return fmt.Errorf("-abandon-rate %g needs -idle-timeout > 0: abandoned sessions resolve only when the lifecycle watchdog is armed", o.abandonRate)
 	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"loss", o.loss}, {"dup", o.dup}, {"reorder", o.reorder}, {"corrupt", o.corrupt}} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("-%s %g outside [0, 1]", p.name, p.v)
-		}
+	sched := o.schedule()
+	if err := sched.Validate(); err != nil {
+		return err
 	}
-	if o.framed() && !o.stream {
+	if sched.Wire != nil && !o.stream {
 		return fmt.Errorf("-loss/-dup/-reorder/-corrupt model the framed transport and need -stream")
+	}
+	if o.retry && o.stream {
+		return fmt.Errorf("-retry retries batch Authenticate sheds and has no effect with -stream")
 	}
 	if *gomaxprocs > 0 {
 		prev := runtime.GOMAXPROCS(*gomaxprocs)
@@ -628,7 +454,7 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	fmt.Fprintf(w, "piano-loadgen: %d %s sessions, %s loop, GOMAXPROCS %d, %d workers\n",
 		o.sessions, mode, loop, runtime.GOMAXPROCS(0), o.workers)
 
-	s := runLoad(ctx, svc, workload(o.sessions, o.seed), o)
+	s := runLoad(ctx, svc, client.Workload(o.sessions, o.seed), o)
 	printSummary(w, s)
 	if *jsonPath != "" {
 		if err := writeJSON(w, *jsonPath, s); err != nil {

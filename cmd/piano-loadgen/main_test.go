@@ -4,66 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/acoustic-auth/piano"
 )
-
-// TestCategoryCoversTypedErrors is the shed-accounting contract: every
-// typed terminal error a piano.Service can hand a client maps to exactly
-// one report category — wrapped or bare — and "other" is reserved for
-// errors the harness has never heard of. A known error landing in "other"
-// is a reporting bug, not a new failure mode.
-func TestCategoryCoversTypedErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want string
-	}{
-		{"overloaded", piano.ErrOverloaded, "overloaded"},
-		{"overloaded wrapped by retry exhaustion",
-			fmt.Errorf("piano: gave up after 4 attempts: %w", piano.ErrOverloaded), "overloaded"},
-		{"closed", piano.ErrClosed, "closed"},
-		{"stalled", piano.ErrSessionStalled, "stalled"},
-		{"expired", piano.ErrSessionExpired, "expired"},
-		{"internal", piano.ErrInternal, "internal"},
-		{"internal wrapped", fmt.Errorf("piano: %w", piano.ErrInternal), "internal"},
-		{"insufficient audio", piano.ErrInsufficientAudio, "insufficient"},
-		{"insufficient audio wrapped",
-			fmt.Errorf("core: streaming detect (auth role): %w", piano.ErrInsufficientAudio), "insufficient"},
-		{"context canceled", context.Canceled, "canceled"},
-		{"context deadline", context.DeadlineExceeded, "canceled"},
-		{"unknown", errors.New("mystery"), "other"},
-	}
-	valid := map[string]bool{}
-	for _, cat := range categories {
-		valid[cat] = true
-	}
-	for _, tc := range cases {
-		got := category(tc.err)
-		if got != tc.want {
-			t.Errorf("%s: category = %q, want %q", tc.name, got, tc.want)
-		}
-		if !valid[got] {
-			t.Errorf("%s: category %q is not in the report order list", tc.name, got)
-		}
-		if tc.want != "other" && got == "other" {
-			t.Errorf("%s: known typed error leaked into the other bucket", tc.name)
-		}
-	}
-	// Both reap errors must match the category sentinel — the report's
-	// stalled/expired split refines ErrSessionReaped, it does not fork it.
-	for _, err := range []error{piano.ErrSessionStalled, piano.ErrSessionExpired} {
-		if !errors.Is(err, piano.ErrSessionReaped) {
-			t.Errorf("%v does not match ErrSessionReaped", err)
-		}
-	}
-}
 
 // parseSummary decodes the first JSON value in the output (a decoder stops
 // at the end of the value, so trailing report text is fine).
@@ -211,6 +156,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-rate", "-1"},
 		{"-concurrency", "0"},
 		{"-stream", "-abandon-rate", "0.5"}, // abandons without a watchdog
+		{"-stream", "-jitter", "1.5"},
+		{"-stream", "-abandon-rate", "1.5", "-idle-timeout", "1s"},
+		{"-stream", "-chunk-ms", "0"},
+		{"-stream", "-retry"}, // retry only wraps batch Authenticate
 	}
 	for _, args := range cases {
 		var buf bytes.Buffer

@@ -20,7 +20,8 @@
 // (-jitter), underrun backlog bursts (-underrun), and clients that stall
 // or vanish mid-feed (-abandon-rate), with the service's lifecycle
 // watchdog armed so abandoned sessions are reaped with typed errors and
-// their slots reclaimed during the drain.
+// their slots reclaimed during the drain. The feed loop is the shared
+// client driver (internal/client), the same one piano-loadgen runs.
 //
 // -loss/-dup/-reorder/-corrupt (with -stream) switch the feed to the
 // framed lossy transport: chunks travel as CRC-protected frames that can
@@ -45,6 +46,7 @@ import (
 
 	"github.com/acoustic-auth/piano"
 	"github.com/acoustic-auth/piano/internal/arrival"
+	"github.com/acoustic-auth/piano/internal/client"
 	"github.com/acoustic-auth/piano/internal/faultinject"
 )
 
@@ -63,162 +65,18 @@ func run(w io.Writer, args []string) error {
 	return runCtx(ctx, w, args)
 }
 
-// workload builds one session request per simulated user: device pairs at
-// staggered distances around the threshold, distinct clock skews and
-// seeds.
-func workload(sessions int) []piano.AuthRequest {
-	reqs := make([]piano.AuthRequest, sessions)
-	for i := range reqs {
-		dist := 0.3 + 0.15*float64(i%10)
-		reqs[i] = piano.AuthRequest{
-			Auth:  piano.DeviceSpec{Name: fmt.Sprintf("hub-%d", i), X: 0, Y: 0, ClockSkewPPM: float64(5 + i%25)},
-			Vouch: piano.DeviceSpec{Name: fmt.Sprintf("watch-%d", i), X: dist, Y: 0, ClockSkewPPM: -float64(3 + i%20)},
-			Seed:  int64(1000 + i),
-		}
-	}
-	return reqs
-}
-
-// shedCategory buckets a failed session for the shutdown/chaos report.
-func shedCategory(err error) string {
-	switch {
-	case errors.Is(err, piano.ErrSessionStalled):
-		return "stalled"
-	case errors.Is(err, piano.ErrSessionExpired):
-		return "expired"
-	case errors.Is(err, piano.ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, piano.ErrClosed):
-		return "closed"
-	case errors.Is(err, piano.ErrInternal):
-		return "internal"
-	case errors.Is(err, piano.ErrInsufficientAudio):
-		return "insufficient"
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return "canceled"
-	default:
-		return "other"
-	}
-}
-
-// shedCategories is the report order for shed buckets.
-var shedCategories = []string{"stalled", "expired", "overloaded", "closed", "internal", "insufficient", "canceled", "other"}
-
 // printShed reports the shed map in category order.
 func printShed(w io.Writer, shed map[string]int, total, completed int) {
 	if len(shed) == 0 {
 		return
 	}
 	fmt.Fprintf(w, "\nshed %d/%d sessions:", total-completed, total)
-	for _, cat := range shedCategories {
+	for _, cat := range client.Categories {
 		if n := shed[cat]; n > 0 {
 			fmt.Fprintf(w, " %s=%d", cat, n)
 		}
 	}
 	fmt.Fprintln(w)
-}
-
-// streamOpts bundles the -stream driver's knobs.
-type streamOpts struct {
-	pace         float64       // audio arrival speed vs real time (0 = flat out)
-	chunkMS      int           // nominal microphone chunk period
-	jitter       float64       // ± fractional spread on chunk sizes and gaps
-	underrun     float64       // per-chunk underrun-burst probability
-	abandonRate  float64       // probability a client stalls/abandons mid-feed
-	idleTimeout  time.Duration // watchdog idle bound override (0 = auto from the arrival model)
-	drainTimeout time.Duration // shutdown bound for resolving open sessions
-	loss         float64       // per-frame loss probability (framed transport)
-	dup          float64       // per-frame duplication probability
-	reorder      float64       // per-frame reorder probability
-	corrupt      float64       // per-frame in-flight corruption probability
-}
-
-// framed reports whether any wire-fault knob is set, switching the stream
-// demo from plain ordered Feed to the framed lossy-transport path.
-func (o streamOpts) framed() bool {
-	return o.loss > 0 || o.dup > 0 || o.reorder > 0 || o.corrupt > 0
-}
-
-// feedFramed drives one session through a deterministic lossy-wire
-// schedule: each role's chunk partition is framed, and frames are lost,
-// duplicated, reordered, or corrupted per the WireConfig. Corrupt frames
-// are sent damaged — the service rejects them with a typed error and the
-// samples become a gap, resolved (with the lost tail) by FinishFeed when
-// the schedule runs dry. Returns the decision, the furthest sample offset
-// fed, and the count of corrupt frames sent.
-func feedFramed(ctx context.Context, sess *piano.AuthSession, req piano.AuthRequest, arrCfg arrival.Config, wireCfg arrival.WireConfig) (dec *piano.Decision, fedMax, corrupt int, err error) {
-	roles := []piano.Role{piano.RoleAuth, piano.RoleVouch}
-	evs := make([][]arrival.WireEvent, len(roles))
-	for ri, role := range roles {
-		rec := sess.Recording(role)
-		if evs[ri], err = arrival.Wire(arrCfg, wireCfg, req.Seed*2+int64(ri), len(rec)); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	idx := make([]int, len(roles))
-	for {
-		if ctx.Err() != nil {
-			return nil, fedMax, corrupt, ctx.Err()
-		}
-		fedAny := false
-		for ri, role := range roles {
-			if idx[ri] >= len(evs[ri]) {
-				continue
-			}
-			ev := evs[ri][idx[ri]]
-			idx[ri]++
-			fedAny = true
-			rec := sess.Recording(role)
-			f := piano.NewFrame(ev.Seq, ev.Offset, rec[ev.Offset:ev.Offset+ev.N])
-			if ev.Corrupt {
-				// Damage the payload's checksum: the service must reject
-				// the frame with the typed corruption error, never score it.
-				f.CRC ^= 0xBAD
-				corrupt++
-			}
-			ferr := sess.FeedFrame(role, f)
-			switch {
-			case ferr == nil:
-				if end := ev.Offset + ev.N; end > fedMax {
-					fedMax = end
-				}
-			case ev.Corrupt && errors.Is(ferr, piano.ErrFrameCorrupt):
-				// Expected: the damaged frame bounced. Its samples are now
-				// a gap unless a duplicate repairs them.
-			case errors.Is(ferr, piano.ErrStreamDecided):
-				// The session decided mid-schedule; TryResult below
-				// collects the decision.
-			default:
-				return nil, fedMax, corrupt, ferr
-			}
-		}
-		d, need, terr := sess.TryResult()
-		if terr != nil {
-			return nil, fedMax, corrupt, terr
-		}
-		if need == 0 {
-			return d, fedMax, corrupt, nil
-		}
-		if !fedAny {
-			break
-		}
-	}
-	// Schedule exhausted without a decision: the client is done sending, so
-	// declare the feeds finished — unrepaired gaps and the lost tail become
-	// declared losses and the session decides degraded or refuses.
-	for _, role := range roles {
-		if ferr := sess.FinishFeed(role); ferr != nil && !errors.Is(ferr, piano.ErrStreamDecided) {
-			return nil, fedMax, corrupt, ferr
-		}
-	}
-	d, need, terr := sess.TryResult()
-	if terr != nil {
-		return nil, fedMax, corrupt, terr
-	}
-	if need != 0 {
-		return nil, fedMax, corrupt, fmt.Errorf("session undecided after the full framed feed (need %d)", need)
-	}
-	return d, fedMax, corrupt, nil
 }
 
 // runStreamDemo drives the online session API through the arrival traffic
@@ -228,29 +86,14 @@ func feedFramed(ctx context.Context, sess *piano.AuthSession, req piano.AuthRequ
 // lifecycle watchdog armed, so abandoned sessions are reaped with typed
 // errors and their slots reclaimed; healthy sessions decide the moment
 // both recordings have revealed their signals, verified bit-identical
-// against the batch path.
-func runStreamDemo(ctx context.Context, w io.Writer, reqs []piano.AuthRequest, workers int, o streamOpts) error {
-	if o.chunkMS <= 0 {
-		return fmt.Errorf("chunk-ms must be positive, got %d", o.chunkMS)
-	}
-	arrCfg := arrival.Config{
-		ChunkMS:      o.chunkMS,
-		Jitter:       o.jitter,
-		UnderrunProb: o.underrun,
-		StallProb:    o.abandonRate / 2,
-		AbandonProb:  o.abandonRate - o.abandonRate/2,
-	}
-	if _, err := arrival.New(arrCfg, 1); err != nil {
+// against the batch path. With a lossy wire the chunks travel as CRC
+// frames: corrupt frames bounce typed, lost audio is declared when each
+// role's schedule runs out, and sessions decide degraded or refuse.
+func runStreamDemo(ctx context.Context, w io.Writer, reqs []piano.AuthRequest, workers int, sched client.Schedule, idleTimeout, drainTimeout time.Duration) error {
+	if err := sched.Validate(); err != nil {
 		return err
 	}
-	wireCfg := arrival.WireConfig{LossProb: o.loss, DupProb: o.dup, ReorderProb: o.reorder, CorruptProb: o.corrupt}
-	if o.framed() {
-		// Probe the wire model once so a bad probability fails fast, before
-		// any headers print.
-		if _, err := arrival.Wire(arrCfg, wireCfg, 1, 1); err != nil {
-			return err
-		}
-	}
+	arr := sched.Arrival
 
 	// Arm the lifecycle watchdog: the idle bound must comfortably exceed
 	// the longest legitimate inter-chunk gap the model can draw (jittered
@@ -260,14 +103,14 @@ func runStreamDemo(ctx context.Context, w io.Writer, reqs []piano.AuthRequest, w
 	// below the default 5 s -drain-timeout so abandoned clients are still
 	// reaped within the drain.
 	idle := 2 * time.Second
-	if o.pace > 0 {
-		maxGapMS := (float64(o.chunkMS)*(1+o.jitter) + 250) / o.pace
+	if sched.Pace > 0 {
+		maxGapMS := (float64(arr.ChunkMS)*(1+arr.Jitter) + 250) / sched.Pace
 		if with := time.Duration(4 * maxGapMS * float64(time.Millisecond)); with > idle {
 			idle = with
 		}
 	}
-	if o.idleTimeout > 0 {
-		idle = o.idleTimeout
+	if idleTimeout > 0 {
+		idle = idleTimeout
 	}
 	svcCfg := piano.DefaultServiceConfig()
 	svcCfg.Workers = workers
@@ -282,21 +125,20 @@ func runStreamDemo(ctx context.Context, w io.Writer, reqs []piano.AuthRequest, w
 	// run at the prototype's 44.1 kHz).
 	const rate = 44100.0
 	fmt.Fprintf(w, "piano-serve -stream: %d sessions, ~%d ms chunks ±%.0f%%, underrun p=%.2f, abandon p=%.2f, pace %gx\n",
-		len(reqs), o.chunkMS, 100*o.jitter, o.underrun, o.abandonRate, o.pace)
+		len(reqs), arr.ChunkMS, 100*arr.Jitter, arr.UnderrunProb, arr.StallProb+arr.AbandonProb, sched.Pace)
 	fmt.Fprintf(w, "lifecycle watchdog: SessionIdleTimeout %v (stalled clients reaped, slots reclaimed)\n", idle)
-	if o.framed() {
+	if wire := sched.Wire; wire != nil {
 		fmt.Fprintf(w, "lossy transport: framed chunks with loss p=%.2f, dup p=%.2f, reorder p=%.2f, corrupt p=%.2f\n",
-			o.loss, o.dup, o.reorder, o.corrupt)
+			wire.LossProb, wire.DupProb, wire.ReorderProb, wire.CorruptProb)
 	}
 	fmt.Fprintln(w)
 
-	roles := []piano.Role{piano.RoleAuth, piano.RoleVouch}
 	var sumAudio, sumFull, sumStreamWall, sumBatchWall float64
 	var pending []*piano.AuthSession // abandoned/interrupted sessions, left to the watchdog
 	shed := map[string]int{}
-	underruns := 0
 	fates := map[arrival.Kind]int{}
-	done, degradedN, corruptN := 0, 0, 0
+	done, degradedN, corruptN, underruns := 0, 0, 0, 0
+sessions:
 	for i, req := range reqs {
 		if ctx.Err() != nil {
 			break
@@ -317,150 +159,69 @@ func runStreamDemo(ctx context.Context, w io.Writer, reqs []piano.AuthRequest, w
 			}
 			return err
 		}
-		if o.framed() {
-			start := time.Now()
-			dec, fed, corr, ferr := feedFramed(ctx, sess, req, arrCfg, wireCfg)
-			corruptN += corr
-			if ferr != nil {
-				if ctx.Err() != nil {
-					pending = append(pending, sess)
-					goto drain
-				}
-				if errors.Is(ferr, piano.ErrInsufficientAudio) {
-					shed["insufficient"]++
-					fmt.Fprintf(w, "  session %2d: refused — transport loss left too little intact audio (typed error, never a low-confidence guess)\n", i)
-					continue
-				}
-				return ferr
-			}
-			streamWall := time.Since(start)
-			note := ""
-			if dec.Degraded != nil {
-				// A degraded decision deliberately excluded lost windows, so
-				// bit-identity with the loss-free batch scan is not promised.
-				degradedN++
-				note = fmt.Sprintf("  [degraded: %d samples lost, %d windows excluded]",
-					dec.Degraded.LostSamples, dec.Degraded.LostWindows)
-			} else if dec.Granted != ref.Granted || dec.Reason != ref.Reason ||
-				math.Float64bits(dec.DistanceM) != math.Float64bits(ref.DistanceM) {
-				return fmt.Errorf("session %d: clean framed decision %+v diverged from batch %+v", i, dec, ref)
-			}
-			audioSec := float64(fed) / rate
-			fullSec := math.Max(float64(len(sess.Recording(piano.RoleAuth))), float64(len(sess.Recording(piano.RoleVouch)))) / rate
-			sumAudio += audioSec
-			sumFull += fullSec
-			sumStreamWall += streamWall.Seconds()
-			sumBatchWall += batchWall.Seconds()
-			done++
-			fmt.Fprintf(w, "  session %2d: %-45s decided on %4.0f of %4.0f ms of audio (%.0f%%)%s\n",
-				i, dec.Reason, audioSec*1e3, fullSec*1e3, 100*audioSec/fullSec, note)
-			continue
-		}
-
-		// One deterministic arrival source per role: this client's
-		// microphone schedule, replayable from the request seed.
-		src := map[piano.Role]*arrival.Source{}
-		for ri, role := range roles {
-			if src[role], err = arrival.New(arrCfg, req.Seed*2+int64(ri)); err != nil {
-				return err
-			}
-		}
-		at := map[piano.Role]int{}
-		var gone arrival.Kind // Stall or Abandon once this client fails
-		var failed bool
 		start := time.Now()
-		var dec *piano.Decision
-		for dec == nil && !failed {
-			var gap time.Duration
-			fedAny := false
-			for _, role := range roles {
-				rec := sess.Recording(role)
-				ev := src[role].Next(at[role], len(rec))
-				switch ev.Kind {
-				case arrival.Chunk, arrival.Underrun:
-					if ev.Kind == arrival.Underrun {
-						underruns++
-					}
-					if ev.Gap > gap {
-						gap = ev.Gap
-					}
-					if err := sess.Feed(role, rec[at[role]:at[role]+ev.N]); err != nil {
-						if ctx.Err() != nil {
-							pending = append(pending, sess)
-							goto drain
-						}
-						return err
-					}
-					at[role] = at[role] + ev.N
-					fedAny = true
-				case arrival.Stall, arrival.Abandon:
-					gone, failed = ev.Kind, true
-				}
-			}
-			if failed {
-				break
-			}
-			if o.pace > 0 {
-				time.Sleep(time.Duration(float64(gap) / o.pace))
-			}
-			d, need, err := sess.TryResult()
-			if err != nil {
-				if ctx.Err() != nil {
-					pending = append(pending, sess)
-					goto drain
-				}
-				return err
-			}
-			if need == 0 {
-				dec = d
-			} else if !fedAny {
-				return fmt.Errorf("session %d: undecided after the full feed (need %d)", i, need)
-			}
-		}
-		if failed {
+		rep, err := client.Drive(ctx, sess, req.Seed, sched)
+		streamWall := time.Since(start)
+		corruptN += rep.Corrupt
+		underruns += rep.Underruns
+		audioSec := float64(max(rep.Fed[0], rep.Fed[1])) / rate
+		switch {
+		case err != nil && ctx.Err() != nil:
+			pending = append(pending, sess)
+			break sessions
+		case errors.Is(err, piano.ErrInsufficientAudio):
+			shed["insufficient"]++
+			fmt.Fprintf(w, "  session %2d: refused — transport loss left too little intact audio (typed error, never a low-confidence guess)\n", i)
+			continue
+		case err != nil:
+			return err
+		case rep.Decision == nil:
 			// The client vanished without closing its session. Do exactly
 			// what a real dead client does — nothing — and let the
 			// lifecycle watchdog reclaim the slot.
-			fates[gone]++
+			fates[rep.Gone]++
 			pending = append(pending, sess)
 			fmt.Fprintf(w, "  session %2d: client %-8v after %4.0f ms of audio — left to the watchdog\n",
-				i, gone, math.Max(float64(at[roles[0]]), float64(at[roles[1]]))/rate*1e3)
+				i, rep.Gone, audioSec*1e3)
 			continue
 		}
-		streamWall := time.Since(start)
-
-		if dec.Granted != ref.Granted || dec.Reason != ref.Reason ||
+		dec := rep.Decision
+		note := ""
+		if dec.Degraded != nil {
+			// A degraded decision deliberately excluded lost windows, so
+			// bit-identity with the loss-free batch scan is not promised.
+			degradedN++
+			note = fmt.Sprintf("  [degraded: %d samples lost, %d windows excluded]",
+				dec.Degraded.LostSamples, dec.Degraded.LostWindows)
+		} else if dec.Granted != ref.Granted || dec.Reason != ref.Reason ||
 			math.Float64bits(dec.DistanceM) != math.Float64bits(ref.DistanceM) {
 			return fmt.Errorf("session %d: streamed decision %+v diverged from batch %+v", i, dec, ref)
 		}
-
-		audioSec := math.Max(float64(at[piano.RoleAuth]), float64(at[piano.RoleVouch])) / rate
 		fullSec := math.Max(float64(len(sess.Recording(piano.RoleAuth))), float64(len(sess.Recording(piano.RoleVouch)))) / rate
 		sumAudio += audioSec
 		sumFull += fullSec
 		sumStreamWall += streamWall.Seconds()
 		sumBatchWall += batchWall.Seconds()
 		done++
-		fmt.Fprintf(w, "  session %2d: %-45s decided on %4.0f of %4.0f ms of audio (%.0f%%)\n",
-			i, dec.Reason, audioSec*1e3, fullSec*1e3, 100*audioSec/fullSec)
+		fmt.Fprintf(w, "  session %2d: %-45s decided on %4.0f of %4.0f ms of audio (%.0f%%)%s\n",
+			i, dec.Reason, audioSec*1e3, fullSec*1e3, 100*audioSec/fullSec, note)
 	}
 
-drain:
 	// Shutdown/drain: every abandoned or interrupted session must resolve
 	// with a typed error within the drain budget — the watchdog reaps
-	// stalled clients (ErrSessionStalled), an interrupt cancels via the
-	// session context — and its slot must come back. Sessions still open
-	// at the deadline are closed explicitly so nothing leaks.
+	// stalled clients, an interrupt cancels via the session context — and
+	// its slot must come back. Sessions still open at the deadline are
+	// closed explicitly so nothing leaks.
 	lateDecided, abandonedAtDeadline := 0, 0
 	if len(pending) > 0 {
-		fmt.Fprintf(w, "\ndraining %d unresolved sessions (budget %v)...\n", len(pending), o.drainTimeout)
+		fmt.Fprintf(w, "\ndraining %d unresolved sessions (budget %v)...\n", len(pending), drainTimeout)
 		drainStart := time.Now()
-		deadline := drainStart.Add(o.drainTimeout)
+		deadline := drainStart.Add(drainTimeout)
 		for _, sn := range pending {
 			for {
 				_, need, err := sn.TryResult()
 				if err != nil {
-					shed[shedCategory(err)]++
+					shed[client.Category(err)]++
 					break
 				}
 				if need == 0 {
@@ -491,10 +252,10 @@ drain:
 		// it, never the ones the expired budget force-closed.
 		if abandonedAtDeadline > 0 {
 			fmt.Fprintf(w, "drained %d sessions in %.0f ms; abandoned %d at the deadline (budget %v)\n",
-				len(pending)-abandonedAtDeadline, drainDur.Seconds()*1e3, abandonedAtDeadline, o.drainTimeout)
+				len(pending)-abandonedAtDeadline, drainDur.Seconds()*1e3, abandonedAtDeadline, drainTimeout)
 		} else {
 			fmt.Fprintf(w, "drained all %d sessions in %.0f ms (budget %v)\n",
-				len(pending), drainDur.Seconds()*1e3, o.drainTimeout)
+				len(pending), drainDur.Seconds()*1e3, drainTimeout)
 		}
 	}
 	printShed(w, shed, len(reqs), len(reqs)-len(pending)+lateDecided-shed["insufficient"])
@@ -508,7 +269,7 @@ drain:
 		return nil
 	}
 	n := float64(done)
-	if o.framed() {
+	if sched.Wire != nil {
 		fmt.Fprintf(w, "\n%d decided over the lossy wire: %d clean (bit-identical to batch), %d degraded by declared loss; %d refused for insufficient intact audio; %d corrupt frames rejected",
 			done, done-degradedN, degradedN, shed["insufficient"], corruptN)
 	} else {
@@ -522,7 +283,7 @@ drain:
 	fmt.Fprintf(w, "time-to-decision (audio):  streaming %6.0f ms avg vs %6.0f ms full recording (%.0f%% saved)\n",
 		sumAudio/n*1e3, sumFull/n*1e3, 100*(1-sumAudio/sumFull))
 	fmt.Fprintf(w, "wall clock per session:    streaming %6.1f ms avg (paced %gx), batch scan-after-the-fact %6.1f ms\n",
-		sumStreamWall/n*1e3, o.pace, sumBatchWall/n*1e3)
+		sumStreamWall/n*1e3, sched.Pace, sumBatchWall/n*1e3)
 	fmt.Fprintln(w, "\n(a batch deployment must wait out the whole recording before scanning;")
 	fmt.Fprintln(w, " the streaming session scans as audio arrives and decides at the protocol")
 	fmt.Fprintln(w, " horizon — see ARCHITECTURE.md \"Online session\" and BENCH_online.json)")
@@ -550,26 +311,30 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	reqs := workload(*sessions)
+	reqs := client.Workload(*sessions, 1000)
+	sched := client.Schedule{
+		Arrival: arrival.Config{
+			ChunkMS:      *chunkMS,
+			Jitter:       *jitter,
+			UnderrunProb: *underrun,
+			StallProb:    *abandonRate / 2,
+			AbandonProb:  *abandonRate - *abandonRate/2,
+		},
+		Pace: *streamPace,
+	}
+	if wire := (arrival.WireConfig{LossProb: *loss, DupProb: *dup, ReorderProb: *reorder, CorruptProb: *corrupt}); wire != (arrival.WireConfig{}) {
+		sched.Wire = &wire
+	}
 
-	if (*loss > 0 || *dup > 0 || *reorder > 0 || *corrupt > 0) && !*stream {
+	if sched.Wire != nil && !*stream {
 		return errors.New("-loss/-dup/-reorder/-corrupt model the framed streaming transport and require -stream")
 	}
 
 	if *stream {
-		return runStreamDemo(ctx, w, reqs, *workers, streamOpts{
-			pace:         *streamPace,
-			chunkMS:      *chunkMS,
-			jitter:       *jitter,
-			underrun:     *underrun,
-			abandonRate:  *abandonRate,
-			idleTimeout:  *idleTimeout,
-			drainTimeout: *drainTimeout,
-			loss:         *loss,
-			dup:          *dup,
-			reorder:      *reorder,
-			corrupt:      *corrupt,
-		})
+		if *chaos {
+			return errors.New("-chaos arms faults for the batch service pass and has no effect with -stream")
+		}
+		return runStreamDemo(ctx, w, reqs, *workers, sched, *idleTimeout, *drainTimeout)
 	}
 
 	fmt.Fprintf(w, "piano-serve: %d sessions, %d cores\n\n", len(reqs), runtime.GOMAXPROCS(0))
@@ -672,7 +437,7 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 			if !interrupted && !*chaos {
 				return errs[i]
 			}
-			shed[shedCategory(errs[i])]++
+			shed[client.Category(errs[i])]++
 			continue
 		}
 		ref := serial[i]

@@ -129,8 +129,13 @@ func TestRunServeStreamInterrupt(t *testing.T) {
 }
 
 func TestRunServeBadFlags(t *testing.T) {
-	if err := run(&bytes.Buffer{}, []string{"-sessions", "x"}); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, args := range [][]string{
+		{"-sessions", "x"},
+		{"-stream", "-chaos"}, // fault injection only arms the batch pass
+	} {
+		if err := run(&bytes.Buffer{}, args); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
 	}
 }
 
