@@ -139,7 +139,9 @@ bench-render:
 
 # Documentation gate: vet + the stdlib-only lint in tools/docscheck
 # (package comments everywhere, doc.go + exported-comment rules for library
-# packages, README/ARCHITECTURE presence). CI runs this on every push.
+# packages, README/ARCHITECTURE presence, and the dead-export rule: every
+# exported identifier of an internal/ package needs a non-test user).
+# CI runs this on every push.
 docs-check:
 	$(GO) vet ./...
 	$(GO) run ./tools/docscheck

@@ -15,7 +15,7 @@ package piano
 //	§VI-B wall → BenchmarkWallAndRange
 //	§VI-E      → BenchmarkSecurityCampaign
 //	§VI-D      → BenchmarkEfficiency
-//	DESIGN.md  → BenchmarkAblation*
+//	ablations  → BenchmarkAblation* (internal/experiments/ablation.go)
 import (
 	"testing"
 

@@ -1,6 +1,6 @@
 // Command piano-experiments regenerates every table and figure of the
 // paper's evaluation (§VI), plus the ablation battery for the design
-// choices called out in DESIGN.md.
+// choices measured in internal/experiments/ablation.go.
 //
 // Usage:
 //

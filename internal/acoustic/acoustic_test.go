@@ -187,10 +187,7 @@ func TestNoiseSpectrumConcentratesBelow6kHz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := dsp.PowerSpectrum(noise)
-		if err != nil {
-			t.Fatal(err)
-		}
+		spec := powerSpectrum(t, noise)
 		cut := dsp.BinIndex(6000, fs, n)
 		var below, total float64
 		for k := 1; k <= n/2; k++ {
@@ -251,4 +248,19 @@ func TestPoissonMean(t *testing.T) {
 	if poisson(0, rng) != 0 || poisson(-1, rng) != 0 {
 		t.Error("non-positive mean should give 0")
 	}
+}
+
+// powerSpectrum is the full-length normalized power spectrum of x on the
+// planned transform (dsp.FFTPlan.PowerSpectrumInto).
+func powerSpectrum(t *testing.T, x []float64) []float64 {
+	t.Helper()
+	plan, err := dsp.SharedFFTPlan(len(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := make([]float64, len(x))
+	if err := plan.PowerSpectrumInto(spec, x, plan.NewScratch()); err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }

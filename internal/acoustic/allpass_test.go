@@ -22,7 +22,7 @@ func TestAllpassPreservesEnergy(t *testing.T) {
 		inEnergy += v * v
 	}
 	coeffs := []float64{0.4, -0.3, 0.25, -0.45}
-	y := ApplyAllpass(x, coeffs)
+	y := allpass(x, coeffs)
 	var outEnergy float64
 	for _, v := range y {
 		outEnergy += v * v
@@ -44,16 +44,10 @@ func TestAllpassPreservesBandPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	coeffs := []float64{0.45, -0.4, 0.3, -0.2}
-	y := ApplyAllpass(sine, coeffs)
+	y := allpass(sine, coeffs)
 
-	specIn, err := dsp.PowerSpectrum(sine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specOut, err := dsp.PowerSpectrum(y[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
+	specIn := powerSpectrum(t, sine)
+	specOut := powerSpectrum(t, y[:n])
 	bin := dsp.BinIndex(30166.67, fs, n)
 	in := dsp.BandPower(specIn, bin, 5)
 	out := dsp.BandPower(specOut, bin, 5)
@@ -72,7 +66,7 @@ func TestAllpassDecorrelatesWaveform(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	coeffs := []float64{0.45, -0.45, 0.45, -0.45}
-	y := ApplyAllpass(x, coeffs)
+	y := allpass(x, coeffs)
 
 	corr, err := dsp.CrossCorrelate(y, x)
 	if err != nil {
@@ -86,14 +80,14 @@ func TestAllpassDecorrelatesWaveform(t *testing.T) {
 
 func TestAllpassIdentity(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
-	y := ApplyAllpass(x, nil)
+	y := allpass(x, nil)
 	for i, v := range x {
 		if y[i] != v {
 			t.Fatalf("no-coefficient cascade altered sample %d", i)
 		}
 	}
 	// Zero coefficient = pure one-sample delay per section.
-	y = ApplyAllpass(x, []float64{0})
+	y = allpass(x, []float64{0})
 	if y[0] != 0 || y[1] != 1 || y[2] != 2 {
 		t.Fatalf("a=0 section should delay by one sample: %v", y[:4])
 	}
@@ -111,7 +105,7 @@ func TestAllpassEnergyProperty(t *testing.T) {
 		for _, v := range x {
 			in += v * v
 		}
-		y := ApplyAllpass(x, []float64{a})
+		y := allpass(x, []float64{a})
 		var out float64
 		for _, v := range y {
 			out += v * v
@@ -121,4 +115,11 @@ func TestAllpassEnergyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allpass runs x through the cascade on a fresh workspace, so the result
+// outlives later calls.
+func allpass(x, coeffs []float64) []float64 {
+	var ws AllpassWorkspace
+	return ws.Apply(x, coeffs)
 }

@@ -148,18 +148,6 @@ func (p *Path) InvalidateKernel() { p.kernel = nil }
 // tail of the allpass cascade.
 const allpassTail = 256
 
-// ApplyAllpass runs src through the first-order allpass cascade described
-// by coeffs (y[n] = −a·x[n] + x[n−1] + a·y[n−1] per section), returning a
-// slightly longer buffer to hold the dispersion tail.
-func ApplyAllpass(src []float64, coeffs []float64) []float64 {
-	var ws AllpassWorkspace
-	out := ws.Apply(src, coeffs)
-	// The workspace owns its buffers; hand the caller a private copy.
-	cp := make([]float64, len(out))
-	copy(cp, out)
-	return cp
-}
-
 // AllpassWorkspace applies allpass cascades while reusing two scratch
 // buffers across calls, so render loops filter many plays without per-play
 // allocations. The zero value is ready to use. Not safe for concurrent use;
@@ -168,9 +156,11 @@ type AllpassWorkspace struct {
 	cur, next []float64
 }
 
-// Apply is ApplyAllpass into workspace-owned storage. The returned slice
-// (len(src)+256, like ApplyAllpass) aliases the workspace and is valid only
-// until the next Apply call.
+// Apply runs src through the first-order allpass cascade described by
+// coeffs (y[n] = −a·x[n] + x[n−1] + a·y[n−1] per section) into
+// workspace-owned storage. The returned slice is len(src)+256 long, to hold
+// the dispersion tail; it aliases the workspace and is valid only until the
+// next Apply call.
 func (w *AllpassWorkspace) Apply(src []float64, coeffs []float64) []float64 {
 	total := len(src) + allpassTail
 	if cap(w.cur) < total {

@@ -230,15 +230,16 @@ func (s *Source) Next(fed, total int) Event {
 }
 
 // Chunks returns the deterministic chunk partition a Source with this
-// (cfg, seed) delivers for a total-sample feed, timing and failure events
-// stripped — the shape property tests compare across runs and feed into
-// the streaming engine's any-chunking bit-identity check. The slice sums
-// to total exactly when the client is healthy; a stalling or abandoning
-// client's partition stops at its failure point.
-func Chunks(cfg Config, seed int64, total int) ([]int, error) {
+// (cfg, seed) delivers for a total-sample feed, timing stripped — the
+// shape property tests compare across runs and feed into the streaming
+// engine's any-chunking bit-identity check — and the kind of the event
+// that ended it. A healthy client ends with Done and its partition sums to
+// total; a stalling or abandoning client ends with Stall or Abandon, and
+// its partition stops at that failure point.
+func Chunks(cfg Config, seed int64, total int) ([]int, Kind, error) {
 	src, err := New(cfg, seed)
 	if err != nil {
-		return nil, err
+		return nil, Done, err
 	}
 	var chunks []int
 	fed := 0
@@ -249,7 +250,7 @@ func Chunks(cfg Config, seed int64, total int) ([]int, error) {
 			chunks = append(chunks, ev.N)
 			fed += ev.N
 		default:
-			return chunks, nil
+			return chunks, ev.Kind, nil
 		}
 	}
 }

@@ -111,7 +111,7 @@ func TestArrivalPartition(t *testing.T) {
 	cfg := Config{Jitter: 0.5, UnderrunProb: 0.3}
 	const total = 250000
 	for seed := int64(1); seed <= 25; seed++ {
-		chunks, err := Chunks(cfg, seed, total)
+		chunks, _, err := Chunks(cfg, seed, total)
 		if err != nil {
 			t.Fatalf("Chunks: %v", err)
 		}
@@ -154,7 +154,8 @@ func TestArrivalUnderrunShape(t *testing.T) {
 // TestArrivalFates checks the client-failure model: with StallProb or
 // AbandonProb at 1 the schedule ends in that terminal event strictly
 // mid-feed, the terminal event is sticky, and with both at 0 every
-// schedule runs to Done.
+// schedule runs to Done. Chunks reports the same terminal kind after the
+// same deliveries.
 func TestArrivalFates(t *testing.T) {
 	const total = 120000
 	for _, tc := range []struct {
@@ -172,6 +173,11 @@ func TestArrivalFates(t *testing.T) {
 				last := evs[len(evs)-1]
 				if last.Kind != tc.want {
 					t.Fatalf("seed %d: terminal = %v, want %v", seed, last.Kind, tc.want)
+				}
+				chunks, kind, err := Chunks(tc.cfg, seed, total)
+				if err != nil || kind != tc.want || len(chunks) != len(evs)-1 {
+					t.Fatalf("seed %d: Chunks = %d chunks ending %v (err %v), want %d ending %v",
+						seed, len(chunks), kind, err, len(evs)-1, tc.want)
 				}
 				fed := 0
 				for _, ev := range evs[:len(evs)-1] {

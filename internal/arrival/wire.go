@@ -81,10 +81,12 @@ type WireEvent struct {
 const wireMix = int64(-0x61C8864680B583EB)
 
 // Wire builds the deterministic delivery schedule a lossy transport
-// produces for one role's feed: the chunk partition comes from
-// Chunks(cfg, seed, total) — so the frame boundaries are identical to what
-// a clean transport with the same seed delivers — and each frame's fate
-// comes from exactly five unconditional draws on a separate seeded RNG.
+// produces for one role's feed. The chunk partition comes from
+// Chunks(cfg, seed, total), so the frame boundaries are identical to what
+// a clean transport with the same seed delivers, and a stalling or
+// abandoning client's frames stop at its failure point (Chunks reports
+// which fate it was). Each frame's fate comes from exactly five
+// unconditional draws on a separate seeded RNG.
 // The draw count per frame is fixed regardless of which fates trigger, so
 // schedules are stable across WireConfigs that differ only in
 // probabilities: raising LossProb changes which frames are lost, never the
@@ -95,7 +97,7 @@ func Wire(cfg Config, wire WireConfig, seed int64, total int) ([]WireEvent, erro
 	if err := wire.validate(); err != nil {
 		return nil, err
 	}
-	chunks, err := Chunks(cfg, seed, total)
+	chunks, _, err := Chunks(cfg, seed, total)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 // exactly once, in order, intact — the framed twin of a plain feed.
 func TestWirePerfectIsIdentity(t *testing.T) {
 	const total = 44100
-	chunks, err := Chunks(Config{Jitter: 0.3}, 7, total)
+	chunks, _, err := Chunks(Config{Jitter: 0.3}, 7, total)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,10 +71,7 @@ func TestAllFrequencyCoversAllCandidates(t *testing.T) {
 		t.Fatalf("plays %+v", plays)
 	}
 	window := plays[0].Samples[:p.Length]
-	spec, err := dsp.PowerSpectrum(window)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := powerSpectrum(t, window)
 	amp := p.FullScale / float64(p.NumCandidates)
 	for i, f := range p.Candidates() {
 		bin := dsp.BinIndex(f, p.SampleRate, p.Length)
@@ -173,4 +170,19 @@ func TestSpoofingAttacksAllFail(t *testing.T) {
 			t.Fatalf("all-frequency attack %d granted", i)
 		}
 	}
+}
+
+// powerSpectrum is the full-length normalized power spectrum of x on the
+// planned transform (dsp.FFTPlan.PowerSpectrumInto).
+func powerSpectrum(t *testing.T, x []float64) []float64 {
+	t.Helper()
+	plan, err := dsp.SharedFFTPlan(len(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := make([]float64, len(x))
+	if err := plan.PowerSpectrumInto(spec, x, plan.NewScratch()); err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }

@@ -1,8 +1,7 @@
 // Package audio provides the PCM sample handling shared by the simulated
 // devices and the acoustic channel: 16-bit buffers with saturating
 // quantization (matching Android's 16-bit audio path the paper's prototype
-// uses), band-limited fractional-delay mixing, and WAV encoding for
-// debugging artifacts.
+// uses) and band-limited fractional-delay mixing.
 //
 // Key operations: Buffer pairs int16 samples with a sample rate;
 // FromFloat/Float convert to and from the float64 domain the world mixes in

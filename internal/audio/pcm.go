@@ -1,9 +1,6 @@
 package audio
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 const (
 	// MaxSample is the largest representable 16-bit PCM value. The paper
@@ -53,14 +50,6 @@ type Buffer struct {
 	Samples    []int16
 }
 
-// Duration returns the buffer length in seconds.
-func (b *Buffer) Duration() float64 {
-	if b.SampleRate <= 0 {
-		return 0
-	}
-	return float64(len(b.Samples)) / b.SampleRate
-}
-
 // Float returns the samples as float64 (integer scale preserved). It
 // allocates a fresh copy 4× the PCM's byte size per call; the detection hot path ingests
 // Samples directly instead (detect.Detector.FedStream fuses the exact
@@ -68,45 +57,4 @@ func (b *Buffer) Duration() float64 {
 // experiments, and diagnostics rather than per-session use.
 func (b *Buffer) Float() []float64 {
 	return ToFloat(b.Samples)
-}
-
-// MixInto adds src (float samples) into dst starting at sample offset,
-// saturating at the int16 range. Samples falling outside dst are dropped —
-// the microphone simply wasn't recording then. Negative offsets clip the
-// head of src. A fractional offset is applied by linear interpolation,
-// modelling sub-sample propagation delay.
-func MixInto(dst []int16, src []float64, offset float64) {
-	if len(src) == 0 || len(dst) == 0 {
-		return
-	}
-	base := math.Floor(offset)
-	frac := offset - base
-	start := int(base)
-	// With linear interpolation, sample dst[start+i] receives
-	// (1-frac)*src[i] + frac*src[i-1].
-	for i := 0; i <= len(src); i++ {
-		di := start + i
-		if di < 0 || di >= len(dst) {
-			continue
-		}
-		var v float64
-		if i < len(src) {
-			v += (1 - frac) * src[i]
-		}
-		if i > 0 {
-			v += frac * src[i-1]
-		}
-		dst[di] = Clamp16(float64(dst[di]) + v)
-	}
-}
-
-// NewSilence returns an all-zero buffer of length n at the given rate.
-func NewSilence(sampleRate float64, n int) (*Buffer, error) {
-	if sampleRate <= 0 {
-		return nil, fmt.Errorf("audio: sample rate %g must be positive", sampleRate)
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("audio: length %d must be non-negative", n)
-	}
-	return &Buffer{SampleRate: sampleRate, Samples: make([]int16, n)}, nil
 }

@@ -1,12 +1,6 @@
 package audio
 
-import (
-	"bytes"
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestClamp16(t *testing.T) {
 	cases := []struct {
@@ -36,115 +30,5 @@ func TestFloatRoundTrip(t *testing.T) {
 		if back[i] != pcm[i] {
 			t.Fatalf("round trip diverged at %d: %d vs %d", i, back[i], pcm[i])
 		}
-	}
-}
-
-func TestMixIntoIntegerOffset(t *testing.T) {
-	dst := make([]int16, 10)
-	MixInto(dst, []float64{100, 200, 300}, 4)
-	want := []int16{0, 0, 0, 0, 100, 200, 300, 0, 0, 0}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("dst = %v, want %v", dst, want)
-		}
-	}
-}
-
-func TestMixIntoFractionalOffsetConservesEnergyApprox(t *testing.T) {
-	dst := make([]int16, 16)
-	MixInto(dst, []float64{1000}, 5.5)
-	if dst[5] != 500 || dst[6] != 500 {
-		t.Fatalf("fractional mix: dst[5]=%d dst[6]=%d, want 500/500", dst[5], dst[6])
-	}
-}
-
-func TestMixIntoClipsAtBoundaries(t *testing.T) {
-	dst := make([]int16, 4)
-	MixInto(dst, []float64{1, 2, 3, 4, 5, 6}, -2) // head clipped
-	if dst[0] != 3 || dst[3] != 6 {
-		t.Fatalf("head clip: %v", dst)
-	}
-	dst = make([]int16, 4)
-	MixInto(dst, []float64{7, 8, 9}, 2) // tail clipped
-	if dst[2] != 7 || dst[3] != 8 {
-		t.Fatalf("tail clip: %v", dst)
-	}
-	MixInto(dst, nil, 0) // no-op
-	MixInto(nil, []float64{1}, 0)
-}
-
-func TestMixIntoSaturates(t *testing.T) {
-	dst := []int16{30000}
-	MixInto(dst, []float64{10000}, 0)
-	if dst[0] != MaxSample {
-		t.Fatalf("saturation: got %d", dst[0])
-	}
-}
-
-func TestNewSilence(t *testing.T) {
-	b, err := NewSilence(44100, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Samples) != 100 {
-		t.Fatalf("len = %d", len(b.Samples))
-	}
-	if d := b.Duration(); math.Abs(d-100.0/44100) > 1e-12 {
-		t.Fatalf("duration = %g", d)
-	}
-	if _, err := NewSilence(0, 1); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := NewSilence(44100, -1); err == nil {
-		t.Error("negative length accepted")
-	}
-	var empty Buffer
-	if empty.Duration() != 0 {
-		t.Error("zero-value duration not 0")
-	}
-}
-
-func TestWAVRoundTripProperty(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw % 2048)
-		b := &Buffer{SampleRate: 44100, Samples: make([]int16, n)}
-		for i := range b.Samples {
-			b.Samples[i] = int16(rng.Intn(65536) - 32768)
-		}
-		var buf bytes.Buffer
-		if err := EncodeWAV(&buf, b); err != nil {
-			return false
-		}
-		got, err := DecodeWAV(&buf)
-		if err != nil {
-			return false
-		}
-		if got.SampleRate != b.SampleRate || len(got.Samples) != n {
-			return false
-		}
-		for i := range b.Samples {
-			if got.Samples[i] != b.Samples[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeWAVRejectsGarbage(t *testing.T) {
-	if _, err := DecodeWAV(bytes.NewReader([]byte("not a wav"))); err == nil {
-		t.Error("short garbage accepted")
-	}
-	junk := make([]byte, 44)
-	copy(junk, "RIFFxxxxWAVEfmt ")
-	if _, err := DecodeWAV(bytes.NewReader(junk)); err == nil {
-		t.Error("zeroed header accepted")
-	}
-	if err := EncodeWAV(&bytes.Buffer{}, nil); err == nil {
-		t.Error("nil buffer accepted")
 	}
 }

@@ -61,12 +61,16 @@ func TestACTIONCCIsWorseThanACTION(t *testing.T) {
 	// the plausibility gate, so measure it without the gate to observe
 	// the raw detector error, as Fig. 2(b) does.
 	ccCfg := cfg
+	ccCfg.Mode = core.DetectCrossCorrelation
 	ccCfg.PlausibleMinM = -1000
 	ccCfg.PlausibleMaxM = 1000
-	rng = rand.New(rand.NewSource(2))
 	auth2, vouch2 := pair(t, 1.0)
+	cc, err := core.NewAuthenticator(ccCfg, auth2, vouch2, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < trials; i++ {
-		sr, err := MeasureACTIONCC(ccCfg, auth2, vouch2, rng)
+		sr, err := cc.Measure()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +142,7 @@ func TestEchoSecureMeterScaleErrors(t *testing.T) {
 		t.Fatalf("vouch position %v after calibrate", vouch.Position())
 	}
 	// Calibrated delay ≈ BT latency + processing delay ∈ [0.05, 0.3].
-	if d := e.CalibratedDelaySec(); d < 0.03 || d > 0.4 {
+	if d := e.calDelaySec; d < 0.03 || d > 0.4 {
 		t.Fatalf("calibrated delay %.3f s implausible", d)
 	}
 

@@ -1,7 +1,7 @@
 // Package baseline implements the comparison protocols of Fig. 2(b):
 // ACTION-CC — ACTION with the frequency-based detector replaced by
-// cross-correlation (provided via core.DetectCrossCorrelation; this package
-// offers a convenience wrapper) — and Echo-Secure, the Echo
+// cross-correlation (run as core.Config.Mode = core.DetectCrossCorrelation)
+// — and Echo-Secure, the Echo
 // distance-bounding protocol hardened with randomized reference signals and
 // the frequency-based detector. Echo-Secure remains inaccurate because it
 // is one-way: the unpredictable audio processing delay enters the estimate

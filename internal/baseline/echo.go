@@ -14,17 +14,6 @@ import (
 	"github.com/acoustic-auth/piano/internal/world"
 )
 
-// MeasureACTIONCC runs one ACTION-CC distance estimation: the full ACTION
-// session with Step IV swapped to cross-correlation.
-func MeasureACTIONCC(cfg core.Config, auth, vouch *device.Device, rng *rand.Rand) (*core.SessionResult, error) {
-	cfg.Mode = core.DetectCrossCorrelation
-	a, err := core.NewAuthenticator(cfg, auth, vouch, rng)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: action-cc: %w", err)
-	}
-	return a.Measure()
-}
-
 // EchoSecure is the hardened Echo protocol: the authenticating device
 // ships a randomized reference signal over Bluetooth; the vouching device
 // plays it "immediately"; the authenticating device measures the elapsed
@@ -160,6 +149,3 @@ func (e *EchoSecure) Measure() (*EchoResult, error) {
 	d := acoustic.SpeedOfSoundMPS * (elapsed - e.calDelaySec)
 	return &EchoResult{DistanceM: d, Found: true}, nil
 }
-
-// CalibratedDelaySec exposes the calibration result (diagnostics).
-func (e *EchoSecure) CalibratedDelaySec() float64 { return e.calDelaySec }

@@ -130,12 +130,6 @@ func Pair(a, b *device.Device, latency LatencyModel, rangeM float64) (*Link, *Li
 	return linkA, linkB, nil
 }
 
-// Peer returns the remote device.
-func (l *Link) Peer() *device.Device { return l.peer }
-
-// RangeM returns the modeled communication range.
-func (l *Link) RangeM() float64 { return l.rangeM }
-
 // InRange reports whether the peer is currently within Bluetooth range.
 // PIANO's authentication phase checks this first: if the vouching device is
 // not reachable, access is denied without estimating distance.

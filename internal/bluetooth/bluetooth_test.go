@@ -190,10 +190,10 @@ func TestAccessors(t *testing.T) {
 	a := newDev(t, "a", [2]float64{0, 0})
 	b := newDev(t, "b", [2]float64{1, 0})
 	la, lb := pairT(t, a, b)
-	if la.Peer() != b || lb.Peer() != a {
+	if la.peer != b || lb.peer != a {
 		t.Error("peer mismatch")
 	}
-	if la.RangeM() != DefaultRangeM {
+	if la.rangeM != DefaultRangeM {
 		t.Error("range mismatch")
 	}
 	// Zero range falls back to the default.
@@ -201,7 +201,7 @@ func TestAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lc.RangeM() != DefaultRangeM {
+	if lc.rangeM != DefaultRangeM {
 		t.Error("default range not applied")
 	}
 }

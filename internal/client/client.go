@@ -19,8 +19,8 @@ type Schedule struct {
 	// bursts, and the client's stall or abandon fate.
 	Arrival arrival.Config
 	// Wire, when non-nil, sends the chunks as frames over this lossy wire.
-	// A wire schedule has no gaps and no stall or abandon fate (the
-	// partition stops at the fate, and the feed is then finished).
+	// A wire schedule has no gaps; a client that stalls or abandons sends
+	// the frames before its fate and then vanishes.
 	Wire *arrival.WireConfig
 	// Pace is the audio arrival speed as a multiple of real time: after
 	// each round Drive waits the round's longest chunk gap divided by
@@ -162,15 +162,21 @@ func chunkFeeder(sess *piano.AuthSession, seed int64, s Schedule, rep *Report) (
 	}, nil
 }
 
-// wireFeeder sends each role's frames in wire order with FeedFrame and
-// finishes the role's feed once its wire schedule runs out. A corrupt
-// frame goes out with a damaged checksum and is not retransmitted, so its
-// samples stay a gap unless a duplicate repairs them.
+// wireFeeder sends each role's frames in wire order with FeedFrame. Once
+// the role's wire schedule runs out it finishes the feed, or, when the
+// client's arrival fate is a stall or abandon, reports the client gone
+// instead. A corrupt frame goes out with a damaged checksum and is not
+// retransmitted, so its samples stay a gap unless a duplicate repairs them.
 func wireFeeder(sess *piano.AuthSession, seed int64, s Schedule, rep *Report) (feeder, error) {
 	var evs [2][]arrival.WireEvent
+	var fates [2]arrival.Kind
 	for ri, role := range roles {
-		ev, err := arrival.Wire(s.Arrival, *s.Wire, seed*2+int64(ri), len(sess.Recording(role)))
+		rseed, total := seed*2+int64(ri), len(sess.Recording(role))
+		ev, err := arrival.Wire(s.Arrival, *s.Wire, rseed, total)
 		if err != nil {
+			return nil, err
+		}
+		if _, fates[ri], err = arrival.Chunks(s.Arrival, rseed, total); err != nil {
 			return nil, err
 		}
 		evs[ri] = ev
@@ -183,6 +189,10 @@ func wireFeeder(sess *piano.AuthSession, seed int64, s Schedule, rep *Report) (f
 			return false, 0, nil
 		}
 		if sent[ri] == len(evs[ri]) {
+			if fates[ri] != arrival.Done {
+				rep.Gone = fates[ri]
+				return false, 0, nil
+			}
 			finished[ri] = true
 			if err := sess.FinishFeed(role); err != nil && !errors.Is(err, piano.ErrStreamDecided) {
 				return false, 0, err

@@ -116,10 +116,21 @@ func TestDriveCleanWireMatchesBatch(t *testing.T) {
 
 // TestDriveVanishedClientGoesBack: a client whose schedule stalls or
 // abandons comes back to the caller with Report.Gone set, having fed
-// nothing past that event, and its session is still open. A client that
+// nothing past that event, and its session is still open — over plain
+// chunks and over a wire (which duplicates frames but keeps their order,
+// so the session's frontier is the furthest frame sent). A client that
 // crossed the decision horizon first decides like batch instead.
 func TestDriveVanishedClientGoesBack(t *testing.T) {
-	for _, fate := range []arrival.Kind{arrival.Stall, arrival.Abandon} {
+	for _, tc := range []struct {
+		fate arrival.Kind
+		wire *arrival.WireConfig
+	}{
+		{arrival.Stall, nil},
+		{arrival.Abandon, nil},
+		{arrival.Stall, &arrival.WireConfig{DupProb: 0.3}},
+		{arrival.Abandon, &arrival.WireConfig{DupProb: 0.3}},
+	} {
+		fate := tc.fate
 		cfg := arrival.Config{ChunkMS: 40, Jitter: 0.2}
 		if fate == arrival.Stall {
 			cfg.StallProb = 1
@@ -127,7 +138,7 @@ func TestDriveVanishedClientGoesBack(t *testing.T) {
 			cfg.AbandonProb = 1
 		}
 		gone := 0
-		driveAll(t, Schedule{Arrival: cfg}, func(d driven) {
+		driveAll(t, Schedule{Arrival: cfg, Wire: tc.wire}, func(d driven) {
 			if d.err != nil {
 				t.Fatalf("%v: %v", d, d.err)
 			}
@@ -159,7 +170,7 @@ func TestDriveVanishedClientGoesBack(t *testing.T) {
 			}
 		})
 		if gone == 0 {
-			t.Fatalf("%v: every client decided before its fate; nothing vanished", fate)
+			t.Fatalf("%v (wire %v): every client decided before its fate; nothing vanished", fate, tc.wire != nil)
 		}
 	}
 }
@@ -168,7 +179,7 @@ func TestDriveVanishedClientGoesBack(t *testing.T) {
 // samples fed before its stall or abandon event.
 func feedBeforeFate(t *testing.T, cfg arrival.Config, seed int64, total int) int {
 	t.Helper()
-	chunks, err := arrival.Chunks(cfg, seed, total)
+	chunks, _, err := arrival.Chunks(cfg, seed, total)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,12 +127,6 @@ func (a *Authenticator) TrackEnergy(l *energy.Ledger, b *energy.Battery) {
 	a.battery = b
 }
 
-// AuthDevice returns the authenticating device.
-func (a *Authenticator) AuthDevice() *device.Device { return a.auth }
-
-// VouchDevice returns the vouching device.
-func (a *Authenticator) VouchDevice() *device.Device { return a.vouch }
-
 // Measure runs ACTION once without making an access decision (the
 // distance-accuracy experiments use this directly). Unlike Authenticate it
 // has no Bluetooth pre-check: an unreachable vouching device fails the

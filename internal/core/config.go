@@ -60,7 +60,7 @@ type Config struct {
 	PlausibleMinM float64
 	PlausibleMaxM float64
 
-	// PhoneFFTSec is the modeled per-window NormPower cost on the
+	// PhoneFFTSec is the modeled per-window Algorithm-2 cost on the
 	// reference handset CPU (drives the §VI-D timing/energy results).
 	PhoneFFTSec float64
 	// SigConstructSec is the modeled Step-I synthesis cost.

@@ -260,7 +260,7 @@ func TestSetThreshold(t *testing.T) {
 	if err := a.SetThreshold(0); err == nil {
 		t.Fatal("zero threshold accepted")
 	}
-	if a.AuthDevice() != auth || a.VouchDevice() != vouch {
+	if a.auth != auth || a.vouch != vouch {
 		t.Fatal("device accessors")
 	}
 }

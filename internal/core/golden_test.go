@@ -149,7 +149,7 @@ func decideStreamed(t *testing.T, as *core.AuthStream, seed int64) (*core.Result
 	t.Helper()
 	for i, role := range goldenRoles {
 		rec := as.Recording(role)
-		chunks, err := arrival.Chunks(arrival.Config{Jitter: 0.2}, seed+int64(i)*977, len(rec))
+		chunks, _, err := arrival.Chunks(arrival.Config{Jitter: 0.2}, seed+int64(i)*977, len(rec))
 		if err != nil {
 			t.Fatal(err)
 		}

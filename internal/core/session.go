@@ -74,7 +74,7 @@ type SessionResult struct {
 	// PlaySeconds is the speaker playback duration on the authenticating
 	// device.
 	PlaySeconds float64
-	// WindowsScanned counts NormPower evaluations on the authenticating
+	// WindowsScanned counts Algorithm-2 window scores on the authenticating
 	// device (shared coarse scan counted once).
 	WindowsScanned int
 

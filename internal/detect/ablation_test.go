@@ -3,6 +3,7 @@ package detect
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/acoustic-auth/piano/internal/sigref"
@@ -114,7 +115,7 @@ func TestDetectNeverConfusesManyRandomSignals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sigref.Equal(a, b) {
+		if slices.Equal(a.Frequencies(), b.Frequencies()) {
 			continue // astronomically unlikely; skip if it happens
 		}
 		rec := make([]float64, 16384)

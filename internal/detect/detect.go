@@ -185,7 +185,7 @@ type Result struct {
 	Power float64
 	// Found is false when Algorithm 1 outputs ⊥ (signal not present).
 	Found bool
-	// WindowsScanned counts NormPower evaluations attributable to this
+	// WindowsScanned counts Algorithm-2 window scores attributable to this
 	// signal (coarse scan + its fine scan); the coarse scan is shared
 	// across signals detected in the same pass.
 	WindowsScanned int
@@ -480,34 +480,6 @@ func (s *sigSpec) normPowerStreamed(spectrum []float64, theta int) (score, gross
 		return sumChosen - sumForeign, math.Inf(1)
 	}
 	return sumChosen - sumForeign, sumChosen + sumForeign
-}
-
-// NormPower exposes Algorithm 2 for a single window (tests, ablations). It
-// scores through the same pooled planned band-restricted spectrum as the
-// scan engine — so a NormPower value is bit-identical to the score DetectAll
-// computes for that window — and agrees with the legacy one-shot
-// dsp.PowerSpectrum path to 1e-9 relative (the planned FFT's fused radix-2²
-// schedule rounds a few ULPs differently; pinned by the parity test).
-func (d *Detector) NormPower(window []float64, sig *sigref.Signal) (float64, error) {
-	if sig == nil {
-		return 0, errors.New("detect: nil signal")
-	}
-	if len(window) != sig.Params().Length {
-		return 0, fmt.Errorf("detect: window length %d != signal length %d", len(window), sig.Params().Length)
-	}
-	band, err := d.cfg.scanBand(sig.Params())
-	if err != nil {
-		return 0, err
-	}
-	ws, err := d.getWorkspace(len(window))
-	if err != nil {
-		return 0, err
-	}
-	defer d.wsPool.Put(ws)
-	if err := ws.plan.PowerSpectrumBandInto(ws.spec, window, ws.scratch, band.lo, band.hi); err != nil {
-		return 0, err
-	}
-	return d.newSigSpec(sig).normPower(ws.spec, d.cfg.Theta), nil
 }
 
 // DetectAll locates several reference signals in one complete float64

@@ -1,5 +1,5 @@
 // Package detect implements the paper's signal-detection algorithms:
-// Algorithm 2 (NormPower), the sanity-checked spectral matcher that scores
+// Algorithm 2, the sanity-checked spectral matcher that scores
 // how well a window of recorded audio matches a reference signal's power
 // spectrum — with the α (attenuation floor), β (foreign-frequency ceiling),
 // and θ (frequency-smoothing aggregation width) parameters — and

@@ -384,11 +384,10 @@ func TestDetectAllPCMSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestNormPowerPlannedParity pins the satellite contract for NormPower's
-// switch to the planned band-restricted spectrum: values agree with the
-// legacy one-shot dsp.PowerSpectrum scoring to 1e-9 relative (the planned
-// FFT rounds a few ULPs differently), and sanity-check rejections agree
-// exactly.
+// TestNormPowerPlannedParity pins NormPower's band-restricted spectrum
+// against Algorithm 2 scored on the full-length planned power spectrum
+// (dsp.FFTPlan.PowerSpectrumInto): values agree to 1e-9 relative, and
+// sanity-check rejections agree exactly.
 func TestNormPowerPlannedParity(t *testing.T) {
 	p := sigref.DefaultParams()
 	det, err := New(DefaultConfig())
@@ -409,19 +408,30 @@ func TestNormPowerPlannedParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacySpec, err := dsp.PowerSpectrum(win)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := det.newSigSpec(sig).normPower(legacySpec, det.Config().Theta)
+			want := det.newSigSpec(sig).normPower(powerSpectrum(t, win), det.Config().Theta)
 			switch {
 			case math.IsInf(want, -1) || math.IsInf(got, -1):
 				if got != want {
-					t.Fatalf("window %d: rejection disagrees: planned %g, legacy %g", wi, got, want)
+					t.Fatalf("window %d: rejection disagrees: band %g, full %g", wi, got, want)
 				}
 			case math.Abs(got-want) > 1e-9*math.Abs(want):
-				t.Fatalf("window %d: planned %g vs legacy %g (diff %g)", wi, got, want, got-want)
+				t.Fatalf("window %d: band %g vs full %g (diff %g)", wi, got, want, got-want)
 			}
 		}
 	}
+}
+
+// powerSpectrum is the full-length normalized power spectrum of x on the
+// planned transform (dsp.FFTPlan.PowerSpectrumInto).
+func powerSpectrum(t *testing.T, x []float64) []float64 {
+	t.Helper()
+	plan, err := dsp.SharedFFTPlan(len(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := make([]float64, len(x))
+	if err := plan.PowerSpectrumInto(spec, x, plan.NewScratch()); err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }

@@ -189,15 +189,6 @@ func (st *Stream) Fed() int {
 	return st.rec.len()
 }
 
-// CoarseScanned returns how many coarse windows of the fixed grid have
-// been scored so far (diagnostics; grid completion is CoarseScanned ==
-// the grid's Count).
-func (st *Stream) CoarseScanned() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.scanned
-}
-
 // Feed appends a chunk of PCM and scores every coarse window the new
 // samples completed, through the detector's shared scan engine (transient
 // helpers, pooled scratch, cancellation checkpoints between hop blocks).

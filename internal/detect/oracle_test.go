@@ -2,6 +2,8 @@ package detect
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -173,4 +175,30 @@ func detectPCM(d *Detector, pcm []int16, sigs ...*sigref.Signal) ([]Result, erro
 	}
 	res, _, err := st.Results(context.Background())
 	return res, err
+}
+
+// NormPower is Algorithm 2 for a single window, the unit the package tests
+// build their oracles from. It scores through the same pooled planned
+// band-restricted spectrum as the scan engine, so a NormPower value is
+// bit-identical to the score DetectAll computes for that window.
+func (d *Detector) NormPower(window []float64, sig *sigref.Signal) (float64, error) {
+	if sig == nil {
+		return 0, errors.New("detect: nil signal")
+	}
+	if len(window) != sig.Params().Length {
+		return 0, fmt.Errorf("detect: window length %d != signal length %d", len(window), sig.Params().Length)
+	}
+	band, err := d.cfg.scanBand(sig.Params())
+	if err != nil {
+		return 0, err
+	}
+	ws, err := d.getWorkspace(len(window))
+	if err != nil {
+		return 0, err
+	}
+	defer d.wsPool.Put(ws)
+	if err := ws.plan.PowerSpectrumBandInto(ws.spec, window, ws.scratch, band.lo, band.hi); err != nil {
+		return 0, err
+	}
+	return d.newSigSpec(sig).normPower(ws.spec, d.cfg.Theta), nil
 }

@@ -1,7 +1,5 @@
 package dsp
 
-import "fmt"
-
 // HopGrid is the chunk-arrival companion to SlidingBandDFT: the fixed
 // arithmetic window grid of one scan pass — windows start at
 // Lo, Lo+Step, …, Lo+(Count−1)·Step, each WinLen samples long — together
@@ -26,23 +24,6 @@ type HopGrid struct {
 	// Block is the resync-block size in windows (StreamResyncHops for
 	// streaming scans); block b covers windows [b·Block, (b+1)·Block).
 	Block int
-}
-
-// Validate checks grid sanity.
-func (g HopGrid) Validate() error {
-	switch {
-	case g.Lo < 0:
-		return fmt.Errorf("dsp: hop grid lo %d negative", g.Lo)
-	case g.Step < 1:
-		return fmt.Errorf("dsp: hop grid step %d must be ≥ 1", g.Step)
-	case g.WinLen < 1:
-		return fmt.Errorf("dsp: hop grid window length %d must be ≥ 1", g.WinLen)
-	case g.Count < 1:
-		return fmt.Errorf("dsp: hop grid window count %d must be ≥ 1", g.Count)
-	case g.Block < 1:
-		return fmt.Errorf("dsp: hop grid block size %d must be ≥ 1", g.Block)
-	}
-	return nil
 }
 
 // WindowStart returns window w's start sample.

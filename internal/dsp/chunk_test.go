@@ -14,25 +14,6 @@ func bruteCompleteWindows(g HopGrid, fed int) int {
 	return c
 }
 
-func TestHopGridValidate(t *testing.T) {
-	good := HopGrid{Lo: 0, Step: 1000, WinLen: 4096, Count: 49, Block: 4}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []HopGrid{
-		{Lo: -1, Step: 1, WinLen: 1, Count: 1, Block: 1},
-		{Lo: 0, Step: 0, WinLen: 1, Count: 1, Block: 1},
-		{Lo: 0, Step: 1, WinLen: 0, Count: 1, Block: 1},
-		{Lo: 0, Step: 1, WinLen: 1, Count: 0, Block: 1},
-		{Lo: 0, Step: 1, WinLen: 1, Count: 1, Block: 0},
-	}
-	for i, g := range bad {
-		if err := g.Validate(); err == nil {
-			t.Errorf("case %d: invalid grid %+v accepted", i, g)
-		}
-	}
-}
-
 func TestHopGridCompleteWindowsMatchesBruteForce(t *testing.T) {
 	grids := []HopGrid{
 		{Lo: 0, Step: 1000, WinLen: 4096, Count: 49, Block: 4},    // paper coarse grid

@@ -1,7 +1,7 @@
 // Package dsp provides the digital-signal-processing primitives PIANO's
 // distance-estimation protocol is built on: planned real-input FFTs, power
-// spectra (full, band-restricted, and streaming), window functions,
-// sinusoid synthesis, cross-correlation, and the sparse composite FIR
+// spectra (full, band-restricted, and streaming), Algorithm 2's bin and
+// band arithmetic, cross-correlation, and the sparse composite FIR
 // kernels the acoustic renderer convolves with. The package is deliberately
 // dependency-free (stdlib only) because the simulated IoT devices run the
 // exact same code an embedded port would.
@@ -24,8 +24,9 @@
 //
 // Invariants: *Into methods write into caller-owned scratch and allocate
 // nothing on the hot path; plan methods are safe for concurrent use but
-// workspaces are not (one per goroutine); the naive reference
-// implementations (DFTNaive, CrossCorrelateNaive) live in the package
-// tests as oracles for every optimized path, agreeing to floating-point
-// rounding rather than bit-exactly.
+// workspaces are not (one per goroutine); FFTPlan is the only transform
+// engine, and the reference implementations (DFTNaive, CrossCorrelateNaive,
+// and the one-shot radix-2 FFT/IFFT/FFTReal/PowerSpectrum FFTPlan replaced)
+// live in the package tests as oracles for every optimized path, agreeing
+// to floating-point rounding rather than bit-exactly.
 package dsp

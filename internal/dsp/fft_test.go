@@ -1,7 +1,9 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -211,4 +213,89 @@ func DFTNaive(x []complex128) []complex128 {
 		out[k] = sum
 	}
 	return out
+}
+
+// The legacy one-shot radix-2 engine below is the reference FFTPlan is
+// checked against (TestFFTPlanForwardMatchesFFT,
+// TestPowerSpectrumIntoMatchesPowerSpectrum); production transforms all run
+// on FFTPlan.
+
+// FFT computes the in-place decimation-in-time radix-2 fast Fourier
+// transform of x. The length of x must be a power of two.
+//
+// The transform is unnormalized: FFT followed by IFFT returns the original
+// sequence (IFFT applies the 1/N factor).
+func FFT(x []complex128) error {
+	if !IsPowerOfTwo(len(x)) {
+		return fmt.Errorf("dsp: fft of %d samples: %w", len(x), ErrNotPowerOfTwo)
+	}
+	fftInPlace(x, false)
+	return nil
+}
+
+// IFFT computes the in-place inverse FFT of x, including the 1/N
+// normalization. The length of x must be a power of two.
+func IFFT(x []complex128) error {
+	if !IsPowerOfTwo(len(x)) {
+		return fmt.Errorf("dsp: ifft of %d samples: %w", len(x), ErrNotPowerOfTwo)
+	}
+	fftInPlace(x, true)
+	scale := 1 / float64(len(x))
+	for i := range x {
+		x[i] = complex(real(x[i])*scale, imag(x[i])*scale)
+	}
+	return nil
+}
+
+// fftInPlace runs the iterative Cooley-Tukey butterfly network. inverse
+// selects the conjugated twiddle factors.
+func fftInPlace(x []complex128, inverse bool) {
+	n := len(x)
+	if n <= 1 {
+		return
+	}
+
+	// Bit-reversal permutation.
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 1; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := sign * 2 * math.Pi / float64(size)
+		// w = e^(i*step) applied incrementally per butterfly group.
+		wStep := complex(math.Cos(step), math.Sin(step))
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for k := 0; k < half; k++ {
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+				w *= wStep
+			}
+		}
+	}
+}
+
+// FFTReal transforms a real-valued sequence, returning the full complex
+// spectrum of the same length. The input length must be a power of two.
+func FFTReal(x []float64) ([]complex128, error) {
+	if !IsPowerOfTwo(len(x)) {
+		return nil, fmt.Errorf("dsp: fft of %d samples: %w", len(x), ErrNotPowerOfTwo)
+	}
+	buf := make([]complex128, len(x))
+	for i, v := range x {
+		buf[i] = complex(v, 0)
+	}
+	fftInPlace(buf, false)
+	return buf, nil
 }

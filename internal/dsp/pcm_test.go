@@ -131,8 +131,8 @@ func TestSlidingBandDFTPCMBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if sp.Pos() != sf.Pos() {
-		t.Fatalf("positions diverged: pcm %d, float %d", sp.Pos(), sf.Pos())
+	if sp.pos != sf.pos {
+		t.Fatalf("positions diverged: pcm %d, float %d", sp.pos, sf.pos)
 	}
 	// Release drops both backings; advancing afterwards is refused.
 	sp.Release()
@@ -167,8 +167,8 @@ func TestSlidingBandDFTSetStep(t *testing.T) {
 	if err := s.SetStep(3); err != nil {
 		t.Fatal(err)
 	}
-	if s.Step() != 3 {
-		t.Fatalf("step %d after SetStep(3)", s.Step())
+	if s.step != 3 {
+		t.Fatalf("step %d after SetStep(3)", s.step)
 	}
 	fresh, err := NewSlidingBandDFT(plan, lo, hi, 3)
 	if err != nil {

@@ -1,11 +1,30 @@
 package dsp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"sync"
 )
+
+// ErrNotPowerOfTwo is returned for a transform length that is not a power of
+// two (FFTPlan's radix-2 tables; the paper's reference signals are 4096
+// samples long).
+var ErrNotPowerOfTwo = errors.New("dsp: length is not a power of two")
+
+// IsPowerOfTwo reports whether n is a positive power of two.
+func IsPowerOfTwo(n int) bool {
+	return n > 0 && n&(n-1) == 0
+}
+
+// NextPowerOfTwo returns the smallest power of two >= n (and 1 for n <= 0).
+func NextPowerOfTwo(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return 1 << bits.Len(uint(n-1))
+}
 
 // FFTPlan holds the precomputed machinery for repeated transforms of one
 // fixed power-of-two length: the bit-reversal permutation, the per-stage
@@ -16,8 +35,9 @@ import (
 // per-call scratch lives in the caller (see NewScratch), so one plan can be
 // shared by a pool of workers. Building a plan costs O(n) memory and time;
 // detection hot paths build one per window length and reuse it for every
-// window, eliminating the per-window twiddle recomputation and the
-// complex/float buffer churn of the one-shot FFTReal/PowerSpectrum path.
+// window, with no per-window twiddle recomputation or buffer churn. FFTPlan
+// is the package's only transform engine; the dsp tests keep the one-shot
+// radix-2 FFT/PowerSpectrum it replaced as their reference.
 type FFTPlan struct {
 	n    int // real-input transform length
 	half int // packed complex transform length (n/2)
@@ -195,9 +215,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 	return p, nil
 }
 
-// N returns the plan's real-input transform length.
-func (p *FFTPlan) N() int { return p.n }
-
 // sharedPlans caches one immutable plan per length so independent hot paths
 // (detection workers, cross-correlation blocks) share twiddle tables instead
 // of rebuilding them. Plans are never evicted; only a handful of lengths
@@ -234,8 +251,9 @@ func (p *FFTPlan) NewScratch() []complex128 {
 type realSample interface{ ~float64 | ~int16 }
 
 // Forward computes the in-place unnormalized FFT of x (len == N) using the
-// precomputed tables. It matches FFT to within a few ULPs (the fused
-// radix-2² schedule rounds differently), i.e. well inside 1e-9 relative.
+// precomputed tables. It matches a plain radix-2 FFT to within a few ULPs
+// (the fused radix-2² schedule rounds differently), i.e. well inside 1e-9
+// relative.
 func (p *FFTPlan) Forward(x []complex128) error {
 	if len(x) != p.n {
 		return fmt.Errorf("dsp: fft plan length %d, input %d", p.n, len(x))
@@ -245,7 +263,8 @@ func (p *FFTPlan) Forward(x []complex128) error {
 }
 
 // Inverse computes the in-place inverse FFT of x (len == N) including the
-// 1/N normalization, matching IFFT to within a few ULPs (see Forward).
+// 1/N normalization, matching a plain radix-2 inverse to within a few ULPs
+// (see Forward).
 func (p *FFTPlan) Inverse(x []complex128) error {
 	if len(x) != p.n {
 		return fmt.Errorf("dsp: fft plan length %d, input %d", p.n, len(x))
@@ -258,18 +277,24 @@ func (p *FFTPlan) Inverse(x []complex128) error {
 	return nil
 }
 
-// PowerSpectrumInto computes the same full-length normalized power spectrum
-// as PowerSpectrum, writing into dst (len == N) with zero heap allocations.
-// scratch must come from NewScratch (len == N/2) and is clobbered.
+// PowerSpectrumInto computes the normalized power spectrum of a real window
+// over the full transform length (not folded at Nyquist), writing into dst
+// (len == N) with zero heap allocations. scratch must come from NewScratch
+// (len == N/2) and is clobbered.
+//
+// The normalization makes a sinusoid of amplitude A centered on bin k
+// contribute power ≈ A² at bin k (and at its conjugate bin N−k), matching
+// the paper's R_f = (32000/n)² parameterization. The full length matters:
+// PIANO's candidate frequencies (25–35 kHz) lie above Nyquist at 44.1 kHz,
+// so Algorithm 2's bin ⌊f/fs·N⌋ lands on the conjugate bin of the aliased
+// component, which carries exactly its power.
 //
 // The real input is packed into a half-length complex sequence (evens in the
 // real lane, odds in the imaginary lane), transformed with the half-length
 // tables, and unpacked with the split twiddles — half the butterflies of the
 // full-length complex path. Power is then 4(Re²+Im²)/N² per bin, avoiding
-// the per-bin Hypot+square of the one-shot path; bins above Nyquist mirror
-// their conjugates exactly as PowerSpectrum's full-length output does.
-// Results match PowerSpectrum to within a few ULPs (callers needing strict
-// bit-equality with the legacy path should keep using PowerSpectrum).
+// a per-bin Hypot+square; bins above Nyquist mirror their conjugates. Results
+// match the textbook |X[k]|·2/N squared to within a few ULPs.
 func (p *FFTPlan) PowerSpectrumInto(dst, window []float64, scratch []complex128) error {
 	return powerSpectrumBandInto(p, dst, window, scratch, 0, p.half+1)
 }
@@ -358,7 +383,7 @@ func packedHalfTransform[T realSample](p *FFTPlan, window []T, scratch []complex
 
 // unpackPowerBand recombines the packed half-length spectrum in scratch into
 // normalized power for canonical bins [lo, hi), mirroring interior bins to
-// their conjugates as PowerSpectrum's full-length output does.
+// their conjugates as PowerSpectrumInto's full-length output does.
 func (p *FFTPlan) unpackPowerBand(dst []float64, scratch []complex128, lo, hi int) {
 	h := p.half
 	z := scratch[:h]
@@ -412,7 +437,7 @@ func (p *FFTPlan) unpackPowerBand(dst []float64, scratch []complex128, lo, hi in
 // the split re/im slices (SoA layout, len ≥ hi−lo), via the same packed
 // half-length transform + split-twiddle unpack as PowerSpectrumBandInto.
 // This is the resynchronization primitive of SlidingBandDFT; power follows
-// as (re²+im²)·(2/N)², matching PowerSpectrum's normalization exactly.
+// as (re²+im²)·(2/N)², matching PowerSpectrumInto's normalization exactly.
 func (p *FFTPlan) BandSpectrumInto(re, im, window []float64, scratch []complex128, lo, hi int) error {
 	return bandSpectrumInto(p, re, im, window, scratch, lo, hi)
 }

@@ -39,8 +39,8 @@ func TestFFTPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.N() != 64 {
-		t.Fatalf("N = %d", p.N())
+	if p.n != 64 {
+		t.Fatalf("N = %d", p.n)
 	}
 	if err := p.Forward(make([]complex128, 32)); err == nil {
 		t.Error("short Forward input accepted")

@@ -88,16 +88,6 @@ type SparseFIR struct {
 // which is where the "sparse" in SparseFIR comes from.
 const segmentMergeSlack = 16
 
-// Width returns the total number of stored coefficients across all segments
-// — the per-source-sample multiply-add cost of MixSparseFIR.
-func (f *SparseFIR) Width() int {
-	w := 0
-	for _, seg := range f.Segments {
-		w += len(seg.Coeffs)
-	}
-	return w
-}
-
 // tapSupport returns the closed integer coefficient range [lo, hi] a tap
 // occupies, mirroring audio.MixFloatSincGain: a pure integer delay is a
 // single unit coefficient at floor(offset); a fractional delay spans the full

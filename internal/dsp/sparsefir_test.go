@@ -56,7 +56,7 @@ func TestNewSparseFIRMergesCloseTapsSplitsDistant(t *testing.T) {
 	if len(close.Segments) != 1 {
 		t.Fatalf("close taps: %d segments, want 1", len(close.Segments))
 	}
-	if w := close.Width(); w != SincKernelLen+3 {
+	if w := firWidth(close); w != SincKernelLen+3 {
 		t.Fatalf("close taps width = %d, want %d", w, SincKernelLen+3)
 	}
 	// Two taps 500 samples apart: far beyond the merge slack → two segments.
@@ -64,7 +64,7 @@ func TestNewSparseFIRMergesCloseTapsSplitsDistant(t *testing.T) {
 	if len(far.Segments) != 2 {
 		t.Fatalf("far taps: %d segments, want 2", len(far.Segments))
 	}
-	if w := far.Width(); w != 2*SincKernelLen {
+	if w := firWidth(far); w != 2*SincKernelLen {
 		t.Fatalf("far taps width = %d, want %d", w, 2*SincKernelLen)
 	}
 	if far.Segments[0].Start >= far.Segments[1].Start {
@@ -87,7 +87,7 @@ func TestNewSparseFIRAccumulatesCoincidentTaps(t *testing.T) {
 }
 
 func TestNewSparseFIREmptyAndDeterministic(t *testing.T) {
-	if f := NewSparseFIR(nil); len(f.Segments) != 0 || f.TapCount != 0 || f.Width() != 0 {
+	if f := NewSparseFIR(nil); len(f.Segments) != 0 || f.TapCount != 0 || firWidth(f) != 0 {
 		t.Fatalf("empty tap set folded to %+v", f)
 	}
 	taps := []FIRTap{{Offset: 12.7, Gain: 0.3}, {Offset: 90.1, Gain: -0.05}, {Offset: 14, Gain: 0.9}}
@@ -105,4 +105,14 @@ func TestNewSparseFIREmptyAndDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// firWidth is the total number of stored coefficients across all segments
+// — the per-source-sample multiply-add cost of MixSparseFIR.
+func firWidth(f *SparseFIR) int {
+	w := 0
+	for _, seg := range f.Segments {
+		w += len(seg.Coeffs)
+	}
+	return w
 }

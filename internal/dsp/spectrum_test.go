@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,4 +113,32 @@ func TestPowerSpectrumParsevalLike(t *testing.T) {
 	if math.Abs(sum-4*TotalPower(x)) > 1e-6*sum {
 		t.Fatalf("spectrum sum = %g, want %g", sum, 4*TotalPower(x))
 	}
+}
+
+// PowerSpectrum computes the normalized power spectrum of a real-valued
+// window, returning one power value per FFT bin over the full transform
+// length (not folded at Nyquist).
+//
+// The normalization is chosen so that a sinusoid of amplitude A centered on
+// bin k contributes power ≈ A² at bin k (and at its conjugate bin N−k).
+// This matches the paper's parameterization where a reference sinusoid of
+// time-domain amplitude 32000/n has R_f = (32000/n)².
+//
+// Returning the full-length spectrum matters for PIANO: the candidate
+// frequencies live in [25 kHz, 35 kHz] while the sampling rate is 44.1 kHz,
+// so the bin index ⌊f/fs·N⌋ used by Algorithm 2 lands above Nyquist — on the
+// conjugate bin of the aliased component — which carries exactly the power
+// of the (aliased) sinusoid. Folding the spectrum would break that indexing.
+func PowerSpectrum(w []float64) ([]float64, error) {
+	spec, err := FFTReal(w)
+	if err != nil {
+		return nil, fmt.Errorf("dsp: power spectrum: %w", err)
+	}
+	n := float64(len(w))
+	out := make([]float64, len(spec))
+	for i, c := range spec {
+		mag := 2 * math.Hypot(real(c), imag(c)) / n
+		out[i] = mag * mag
+	}
+	return out, nil
 }

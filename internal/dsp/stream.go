@@ -121,9 +121,6 @@ func NewSlidingBandDFT(plan *FFTPlan, lo, hi, step int) (*SlidingBandDFT, error)
 // Band returns the canonical bin range [lo, hi).
 func (s *SlidingBandDFT) Band() (lo, hi int) { return s.lo, s.hi }
 
-// Step returns the hop size in samples.
-func (s *SlidingBandDFT) Step() int { return s.step }
-
 // SetStep changes the hop size for subsequent Advance calls. The per-bin
 // state and the cached rotation table depend only on the band, not the hop,
 // so one pooled engine can serve both the coarse and the fine hop sequences
@@ -135,9 +132,6 @@ func (s *SlidingBandDFT) SetStep(step int) error {
 	s.step = step
 	return nil
 }
-
-// Pos returns the current window start, or -1 before the first Reset.
-func (s *SlidingBandDFT) Pos() int { return s.pos }
 
 // Release drops the engine's reference to the recording so a pooled engine
 // does not pin a finished scan's audio in memory. The next Reset re-arms

@@ -138,8 +138,8 @@ func TestSlidingBandDFTParity(t *testing.T) {
 			} else if err := sd.Advance(); err != nil {
 				t.Fatal(err)
 			}
-			if sd.Pos() != pos {
-				t.Fatalf("step %d hop %d: pos %d != %d", step, h, sd.Pos(), pos)
+			if sd.pos != pos {
+				t.Fatalf("step %d hop %d: pos %d != %d", step, h, sd.pos, pos)
 			}
 			if err := sd.PowersInto(got); err != nil {
 				t.Fatal(err)
@@ -278,7 +278,7 @@ func BenchmarkSlidingBandDFTAdvance(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if sd.Pos()+step+n > len(rec) {
+				if sd.pos+step+n > len(rec) {
 					b.StopTimer()
 					if err := sd.Reset(rec, 0); err != nil {
 						b.Fatal(err)

@@ -28,25 +28,6 @@ func Sine(freqHz, amplitude, phase, sampleRate float64, length int) ([]float64, 
 	return out, nil
 }
 
-// AddInto accumulates src into dst element-wise. The slices must have the
-// same length.
-func AddInto(dst, src []float64) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("dsp: add: length mismatch %d vs %d", len(dst), len(src))
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	return nil
-}
-
-// Scale multiplies every sample of x by g in place.
-func Scale(x []float64, g float64) {
-	for i := range x {
-		x[i] *= g
-	}
-}
-
 // PeakAbs returns the maximum absolute sample value of x.
 func PeakAbs(x []float64) float64 {
 	var peak float64

@@ -184,43 +184,9 @@ func TestSineErrors(t *testing.T) {
 	}
 }
 
-func TestAddIntoAndScale(t *testing.T) {
-	dst := []float64{1, 2, 3}
-	if err := AddInto(dst, []float64{1, 1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0] != 2 || dst[2] != 4 {
-		t.Fatalf("AddInto result %v", dst)
-	}
-	if err := AddInto(dst, []float64{1}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	Scale(dst, 2)
-	if dst[0] != 4 {
-		t.Fatalf("Scale result %v", dst)
-	}
+func TestPeakAbs(t *testing.T) {
 	if got := PeakAbs([]float64{-5, 3}); got != 5 {
 		t.Fatalf("PeakAbs = %g", got)
-	}
-}
-
-func TestHannWindow(t *testing.T) {
-	w := Hann(1)
-	if w[0] != 1 {
-		t.Fatalf("Hann(1) = %v", w)
-	}
-	w = Hann(64)
-	if math.Abs(w[0]) > 1e-12 || math.Abs(w[63]) > 1e-12 {
-		t.Fatalf("Hann endpoints %g %g", w[0], w[63])
-	}
-	mid := w[31] + w[32]
-	if mid < 1.9 {
-		t.Fatalf("Hann midpoint sum %g", mid)
-	}
-	x := []float64{2, 2, 2}
-	ApplyWindow(x, []float64{0.5, 0.5})
-	if x[0] != 1 || x[2] != 2 {
-		t.Fatalf("ApplyWindow result %v", x)
 	}
 }
 

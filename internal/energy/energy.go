@@ -91,9 +91,6 @@ func (b *Battery) UsedPercent() float64 {
 	return b.used / b.capacity * 100
 }
 
-// CapacityJoules returns the battery capacity.
-func (b *Battery) CapacityJoules() float64 { return b.capacity }
-
 // Ledger accumulates per-component energy for a run of authentications.
 type Ledger struct {
 	mu     sync.Mutex
@@ -171,13 +168,4 @@ func (l *Ledger) Breakdown() string {
 		fmt.Fprintf(&sb, "%s=%.3fJ", k, l.joules[k])
 	}
 	return sb.String()
-}
-
-// DrainInto transfers the ledger total into a battery and returns it.
-func (l *Ledger) DrainInto(b *Battery) float64 {
-	total := l.TotalJoules()
-	if b != nil {
-		b.Drain(total)
-	}
-	return total
 }

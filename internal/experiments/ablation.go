@@ -18,8 +18,8 @@ import (
 	"github.com/acoustic-auth/piano/internal/world"
 )
 
-// AblationResult is a generic labeled series for the design-choice benches
-// DESIGN.md calls out.
+// AblationResult is a generic labeled series for the design-choice benches;
+// each RunAblation* comment names the design choice it measures.
 type AblationResult struct {
 	Title string
 	Rows  []AblationRow
@@ -98,9 +98,13 @@ func RunAblationRandomizationDomain(opts Options) (*AblationResult, error) {
 		return nil, err
 	}
 
+	plan, err := dsp.SharedFFTPlan(p.Length)
+	if err != nil {
+		return nil, err
+	}
+	spec, scratch := make([]float64, p.Length), plan.NewScratch()
 	audibleFraction := func(x []float64) float64 {
-		spec, err := dsp.PowerSpectrum(x[:p.Length])
-		if err != nil {
+		if err := plan.PowerSpectrumInto(spec, x[:p.Length], scratch); err != nil {
 			return 0
 		}
 		cut := dsp.BinIndex(16000, p.SampleRate, p.Length)

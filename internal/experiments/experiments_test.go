@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -247,5 +248,35 @@ func TestScenarioNames(t *testing.T) {
 	}
 	if scenarioName(acoustic.EnvQuiet) != "quiet" {
 		t.Fatalf("fallback name %q", scenarioName(acoustic.EnvQuiet))
+	}
+}
+
+// TestAblationRandomizationDomainPinned pins the randomization-domain
+// ablation bit for bit: every row's Value (as Float64bits) and Note string
+// for three trials at seed 5, recorded when the audible-power fraction was
+// computed with the radix-2 power spectrum. Moving that fraction onto the
+// planned transform must leave the rendered table unchanged.
+func TestAblationRandomizationDomainPinned(t *testing.T) {
+	res, err := RunAblationRandomizationDomain(Options{Trials: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		config string
+		bits   uint64
+		note   string
+	}{
+		{"frequency-domain + Alg. 1", 0x40092f684bda125f, "3/3 detected, 0% of emitted power audible (<16 kHz)"},
+		{"time-domain + xcorr", 0x401b8e38e38e39c8, "73% of power audible — unusable for inaudible ranging; no ⊥/spoof checks exist for it"},
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(res.Rows), len(want))
+	}
+	for i, w := range want {
+		r := res.Rows[i]
+		if r.Config != w.config || math.Float64bits(r.Value) != w.bits || r.Note != w.note {
+			t.Errorf("row %d = {%q, %#x, %q}, want {%q, %#x, %q}",
+				i, r.Config, math.Float64bits(r.Value), r.Note, w.config, w.bits, w.note)
+		}
 	}
 }

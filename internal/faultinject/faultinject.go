@@ -122,9 +122,6 @@ func Disable() {
 	mu.Unlock()
 }
 
-// Enabled reports whether the registry is armed.
-func Enabled() bool { return enabled.Load() }
-
 // Arm installs (or replaces) the fault at site. A site holds one fault at
 // a time; arming resets its counters. No-op unless Enable has run.
 func Arm(site string, f Fault) {

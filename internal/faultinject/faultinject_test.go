@@ -18,7 +18,7 @@ func TestDisabledFireIsNoop(t *testing.T) {
 	if err := Fire(SiteDetectBlock); err != nil {
 		t.Fatalf("disabled Fire after Arm returned %v", err)
 	}
-	if Enabled() {
+	if enabled.Load() {
 		t.Fatal("registry reports enabled after Disable")
 	}
 }

@@ -99,25 +99,6 @@ func NewReassembler(total, window int) (*Reassembler, error) {
 // delivered, as data or as part of a lost span.
 func (r *Reassembler) Next() int { return r.next }
 
-// Pending returns how many samples are buffered beyond the frontier.
-func (r *Reassembler) Pending() int {
-	n := 0
-	for _, sp := range r.spans {
-		n += sp.hi - sp.lo
-	}
-	return n
-}
-
-// Gaps returns the open (still repairable) holes before buffered data as
-// [lo, hi) sample ranges, ascending.
-func (r *Reassembler) Gaps() [][2]int {
-	out := make([][2]int, len(r.holes))
-	for i, h := range r.holes {
-		out[i] = [2]int{h.lo, h.hi}
-	}
-	return out
-}
-
 // Stats returns the payload-disposition counters so far.
 func (r *Reassembler) Stats() Stats { return r.stats }
 

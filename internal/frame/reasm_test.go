@@ -67,8 +67,8 @@ func TestReassemblerInOrder(t *testing.T) {
 		}
 		at = replay(t, dv, at)
 	}
-	if r.Next() != 1000 || len(r.Gaps()) != 0 {
-		t.Fatalf("next %d gaps %v after clean feed", r.Next(), r.Gaps())
+	if r.Next() != 1000 || len(r.gaps()) != 0 {
+		t.Fatalf("next %d gaps %v after clean feed", r.Next(), r.gaps())
 	}
 }
 
@@ -83,7 +83,7 @@ func TestReassemblerReorderRepair(t *testing.T) {
 	if dv := addT(t, r, New(1, 100, pcm[100:200]), time.Time{}); len(dv) != 0 {
 		t.Fatalf("out-of-order frame delivered: %+v", dv)
 	}
-	if g := r.Gaps(); len(g) != 1 || g[0] != [2]int{0, 100} {
+	if g := r.gaps(); len(g) != 1 || g[0] != [2]int{0, 100} {
 		t.Fatalf("gaps %v, want [[0 100]]", g)
 	}
 	dv := addT(t, r, New(0, 0, pcm[0:100]), time.Time{})
@@ -158,7 +158,7 @@ func TestReassemblerSplitGapKeepsStamp(t *testing.T) {
 	t0 := time.Unix(100, 0)
 	addT(t, r, New(1, 400, pcm[400:500]), t0) // gap [0, 400) opened at t0
 	addT(t, r, New(2, 200, pcm[200:300]), t0.Add(90*time.Millisecond))
-	if g := r.Gaps(); len(g) != 2 {
+	if g := r.gaps(); len(g) != 2 {
 		t.Fatalf("gaps %v, want two children", g)
 	}
 	// At t0+100ms both children are past the ORIGINAL deadline.
@@ -225,8 +225,8 @@ func TestReassemblerRejectsTyped(t *testing.T) {
 	if dv, fresh, err := r.Add(New(4, math.MaxInt-5, make([]int16, 10)), time.Time{}); !errors.Is(err, ErrRange) || dv != nil || fresh {
 		t.Fatalf("overflowing-offset frame: deliveries %v, fresh %v, err %v", dv, fresh, err)
 	}
-	if r.Next() != 0 || r.Pending() != 0 {
-		t.Fatalf("rejected frames mutated state: next=%d pending=%d", r.Next(), r.Pending())
+	if r.Next() != 0 || r.pending() != 0 {
+		t.Fatalf("rejected frames mutated state: next=%d pending=%d", r.Next(), r.pending())
 	}
 	st := r.Stats()
 	if st.Corrupt != 1 || st.Rejected != 3 || st.Dups != 0 {
@@ -433,10 +433,10 @@ func TestReassemblerPlaceMatchesAdd(t *testing.T) {
 			}
 			sa, sp := ra.Stats(), rp.Stats()
 			sa.Corrupt, sp.Corrupt = 0, 0
-			if ra.Next() != rp.Next() || ra.Pending() != rp.Pending() ||
-				fmt.Sprint(ra.Gaps()) != fmt.Sprint(rp.Gaps()) || sa != sp {
+			if ra.Next() != rp.Next() || ra.pending() != rp.pending() ||
+				fmt.Sprint(ra.gaps()) != fmt.Sprint(rp.gaps()) || sa != sp {
 				t.Fatalf("%s op %d: state diverged: next %d/%d pending %d/%d gaps %v/%v stats %+v/%+v", c.name, i,
-					ra.Next(), rp.Next(), ra.Pending(), rp.Pending(), ra.Gaps(), rp.Gaps(), sa, sp)
+					ra.Next(), rp.Next(), ra.pending(), rp.pending(), ra.gaps(), rp.gaps(), sa, sp)
 			}
 		}
 	}
@@ -491,7 +491,7 @@ func TestReassemblerLazyBuffer(t *testing.T) {
 	if len(r.buf) != 1000 {
 		t.Fatalf("reorder buffer holds %d samples, want 1000", len(r.buf))
 	}
-	if g := r.Gaps(); len(g) != 1 || g[0] != [2]int{100, 300} {
+	if g := r.gaps(); len(g) != 1 || g[0] != [2]int{100, 300} {
 		t.Fatalf("gaps %v, want [[100 300]]", g)
 	}
 	// An in-order payload with data buffered takes the buffered path and
@@ -512,7 +512,26 @@ func TestReassemblerLazyBuffer(t *testing.T) {
 		}
 		at += len(d.PCM)
 	}
-	if at != 400 || r.Next() != 400 || r.Pending() != 0 {
-		t.Fatalf("repair delivered to %d, next %d pending %d; want 400, 400, 0", at, r.Next(), r.Pending())
+	if at != 400 || r.Next() != 400 || r.pending() != 0 {
+		t.Fatalf("repair delivered to %d, next %d pending %d; want 400, 400, 0", at, r.Next(), r.pending())
 	}
+}
+
+// pending returns how many samples are buffered beyond the frontier.
+func (r *Reassembler) pending() int {
+	n := 0
+	for _, sp := range r.spans {
+		n += sp.hi - sp.lo
+	}
+	return n
+}
+
+// gaps returns the open (still repairable) holes before buffered data as
+// [lo, hi) sample ranges, ascending.
+func (r *Reassembler) gaps() [][2]int {
+	out := make([][2]int, len(r.holes))
+	for i, h := range r.holes {
+		out[i] = [2]int{h.lo, h.hi}
+	}
+	return out
 }

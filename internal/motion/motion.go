@@ -30,33 +30,6 @@ func (t Trace) Validate() error {
 	return nil
 }
 
-// Magnitude returns |a| at sample i.
-func (t Trace) Magnitude(i int) float64 {
-	return math.Sqrt(t.X[i]*t.X[i] + t.Y[i]*t.Y[i] + t.Z[i]*t.Z[i])
-}
-
-// SyntheticResting generates a device lying on a table: gravity on Z plus
-// sensor noise.
-func SyntheticResting(durSec, rateHz float64, rng *rand.Rand) (Trace, error) {
-	return synth(durSec, rateHz, rng, func(tr *Trace, i int) {
-		tr.X[i] = 0.03 * rng.NormFloat64()
-		tr.Y[i] = 0.03 * rng.NormFloat64()
-		tr.Z[i] = GravityMS2 + 0.05*rng.NormFloat64()
-	})
-}
-
-// SyntheticWalking generates the periodic sway of a device carried in a
-// pocket — motion that must NOT trigger pickup detection.
-func SyntheticWalking(durSec, rateHz float64, rng *rand.Rand) (Trace, error) {
-	const stepHz = 1.8
-	return synth(durSec, rateHz, rng, func(tr *Trace, i int) {
-		ph := 2 * math.Pi * stepHz * float64(i) / rateHz
-		tr.X[i] = 0.8*math.Sin(ph) + 0.1*rng.NormFloat64()
-		tr.Y[i] = 0.5*math.Sin(ph/2+0.7) + 0.1*rng.NormFloat64()
-		tr.Z[i] = GravityMS2 + 1.2*math.Sin(ph+0.3) + 0.15*rng.NormFloat64()
-	})
-}
-
 // SyntheticPickup generates resting followed by a grab: a sharp jerk and an
 // orientation change starting at pickupAtSec.
 func SyntheticPickup(durSec, rateHz, pickupAtSec float64, rng *rand.Rand) (Trace, error) {

@@ -8,7 +8,7 @@ import (
 
 func TestSyntheticRestingIsQuiet(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tr, err := SyntheticResting(2, 50, rng)
+	tr, err := syntheticResting(2, 50, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +16,7 @@ func TestSyntheticRestingIsQuiet(t *testing.T) {
 		t.Fatalf("len %d", tr.Len())
 	}
 	for i := 0; i < tr.Len(); i++ {
-		if m := tr.Magnitude(i); math.Abs(m-GravityMS2) > 0.5 {
+		if m := tr.magnitude(i); math.Abs(m-GravityMS2) > 0.5 {
 			t.Fatalf("resting magnitude %g at %d", m, i)
 		}
 	}
@@ -48,7 +48,7 @@ func TestRestingAndWalkingDoNotTrigger(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	det := DefaultDetector()
 
-	rest, err := SyntheticResting(5, 50, rng)
+	rest, err := syntheticResting(5, 50, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRestingAndWalkingDoNotTrigger(t *testing.T) {
 		t.Fatalf("resting trace triggered pickup (ok=%v err=%v)", ok, err)
 	}
 
-	walk, err := SyntheticWalking(5, 50, rng)
+	walk, err := syntheticWalking(5, 50, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestRestingAndWalkingDoNotTrigger(t *testing.T) {
 }
 
 func TestTraceValidation(t *testing.T) {
-	if _, err := SyntheticResting(0, 50, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := syntheticResting(0, 50, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := SyntheticResting(1, 50, nil); err == nil {
+	if _, err := syntheticResting(1, 50, nil); err == nil {
 		t.Error("nil rng accepted")
 	}
 	if _, err := SyntheticPickup(2, 50, 5, rand.New(rand.NewSource(1))); err == nil {
@@ -92,7 +92,7 @@ func TestTraceValidation(t *testing.T) {
 
 func TestShortTraceNoPickup(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tr, err := SyntheticResting(0.1, 50, rng)
+	tr, err := syntheticResting(0.1, 50, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,4 +112,31 @@ func TestPreAuthLatency(t *testing.T) {
 	if got := PreAuthLatency(2.4, 3.0); got != 0 {
 		t.Fatalf("latency floor %g", got)
 	}
+}
+
+// magnitude returns |a| at sample i.
+func (t Trace) magnitude(i int) float64 {
+	return math.Sqrt(t.X[i]*t.X[i] + t.Y[i]*t.Y[i] + t.Z[i]*t.Z[i])
+}
+
+// syntheticResting generates a device lying on a table: gravity on Z plus
+// sensor noise.
+func syntheticResting(durSec, rateHz float64, rng *rand.Rand) (Trace, error) {
+	return synth(durSec, rateHz, rng, func(tr *Trace, i int) {
+		tr.X[i] = 0.03 * rng.NormFloat64()
+		tr.Y[i] = 0.03 * rng.NormFloat64()
+		tr.Z[i] = GravityMS2 + 0.05*rng.NormFloat64()
+	})
+}
+
+// syntheticWalking generates the periodic sway of a device carried in a
+// pocket — motion that must NOT trigger pickup detection.
+func syntheticWalking(durSec, rateHz float64, rng *rand.Rand) (Trace, error) {
+	const stepHz = 1.8
+	return synth(durSec, rateHz, rng, func(tr *Trace, i int) {
+		ph := 2 * math.Pi * stepHz * float64(i) / rateHz
+		tr.X[i] = 0.8*math.Sin(ph) + 0.1*rng.NormFloat64()
+		tr.Y[i] = 0.5*math.Sin(ph/2+0.7) + 0.1*rng.NormFloat64()
+		tr.Z[i] = GravityMS2 + 1.2*math.Sin(ph+0.3) + 0.15*rng.NormFloat64()
+	})
 }

@@ -66,7 +66,7 @@ func TestChaosMixedFaultStorm(t *testing.T) {
 	reqs[1].Interferers = []DeviceSpec{{Name: "other-user", X: 2.1, Y: 1.3}}
 	baseline := make([]*core.Result, len(reqs))
 	for i, req := range reqs {
-		if baseline[i], err = svc.Authenticate(req); err != nil {
+		if baseline[i], err = svc.authenticate(req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +135,7 @@ func TestChaosMixedFaultStorm(t *testing.T) {
 	// The service must be fully serviceable once chaos stops.
 	faultinject.Disable()
 	for i, req := range reqs {
-		after, err := svc.Authenticate(req)
+		after, err := svc.authenticate(req)
 		if err != nil {
 			t.Fatalf("post-chaos request %d failed: %v", i, err)
 		}
@@ -158,7 +158,7 @@ func TestChaosCloseMidStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := pairRequest(0.8, 90)
-	baseline, err := svc.Authenticate(req)
+	baseline, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestChaosCloseMidStorm(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = svc.Authenticate(req)
+			results[g], errs[g] = svc.authenticate(req)
 		}(g)
 	}
 	// Let some of the storm land, then pull the plug.

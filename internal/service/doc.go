@@ -10,7 +10,7 @@
 // prewarms Workers+1 scan workspaces, so steady-state traffic allocates
 // nothing on the scan path and resolves no FFT plan.
 //
-// Invariants: each Authenticate call is one complete PIANO session with a
+// Invariants: each AuthenticateContext call is one complete PIANO session with a
 // session-private seeded RNG stream; because every random draw a session
 // makes comes from its own stream, and window scores reduce in window order
 // regardless of which goroutines computed them, a session's result is

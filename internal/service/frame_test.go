@@ -170,7 +170,7 @@ func TestSessionFramedTailLossDecidesDegraded(t *testing.T) {
 	svc := newService(t, 0)
 	defer svc.Close()
 	req := pairRequest(0.8, 87)
-	want, err := svc.Authenticate(req)
+	want, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestSessionFramedCorruptThenRepair(t *testing.T) {
 	svc := newService(t, 0)
 	defer svc.Close()
 	req := pairRequest(0.8, 83)
-	want, err := svc.Authenticate(req)
+	want, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestChaosLossStorm(t *testing.T) {
 	}
 	baseline := make([]*core.Result, len(reqs))
 	for i, req := range reqs {
-		if baseline[i], err = svc.Authenticate(req); err != nil {
+		if baseline[i], err = svc.authenticate(req); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 func feedArrival(t *testing.T, sn *Session, role core.Role, cfg arrival.Config, seed int64) {
 	t.Helper()
 	rec := sn.Recording(role)
-	chunks, err := arrival.Chunks(cfg, seed, len(rec))
+	chunks, _, err := arrival.Chunks(cfg, seed, len(rec))
 	if err != nil {
 		t.Fatalf("arrival.Chunks: %v", err)
 	}
@@ -130,7 +130,7 @@ func checkIngestBitIdentical(t *testing.T, reqSeed int64, schedules []ingestSche
 	svc := newService(t, 0)
 	defer svc.Close()
 	req := pairRequest(0.8, reqSeed)
-	want, err := svc.Authenticate(req)
+	want, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestLifecycleStalledSessionReaped(t *testing.T) {
 		}
 	}
 	// The slot is free again: a batch session fits through MaxSessions=1.
-	if _, err := svc.Authenticate(pairRequest(0.8, 71)); err != nil {
+	if _, err := svc.authenticate(pairRequest(0.8, 71)); err != nil {
 		t.Fatalf("slot not released by the reap: %v", err)
 	}
 	assertNoLeak(t, svc)
@@ -164,7 +164,7 @@ func TestLifecycleStalledSessionReaped(t *testing.T) {
 func TestServiceLifecycleBatchNotReaped(t *testing.T) {
 	req := pairRequest(0.8, 74)
 	clean := newService(t, 2)
-	want, err := clean.Authenticate(req)
+	want, err := clean.authenticate(req)
 	clean.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestServiceLifecycleBatchNotReaped(t *testing.T) {
 		Action: faultinject.ActDelay, Delay: 25 * time.Millisecond, Times: 1,
 	})
 	start := time.Now()
-	got, err := svc.Authenticate(req)
+	got, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatalf("batch session past both lifecycle bounds failed: %v", err)
 	}
@@ -232,7 +232,7 @@ func TestLifecycleActiveFeederNotReaped(t *testing.T) {
 	svc := newLifecycleService(t, 2, 500*time.Millisecond, 0)
 	defer svc.Close()
 	req := pairRequest(0.8, 73)
-	want, err := svc.Authenticate(req)
+	want, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestLifecycleSlotLeakStorm(t *testing.T) {
 		fg.Add(1)
 		go func(i int) {
 			defer fg.Done()
-			_, ferrs[i] = svc.Authenticate(pairRequest(0.8, int64(200+i)))
+			_, ferrs[i] = svc.authenticate(pairRequest(0.8, int64(200+i)))
 		}(i)
 	}
 	fg.Wait()
@@ -566,7 +566,7 @@ func TestChaosLifecycleStorm(t *testing.T) {
 	baseline := make([]*core.Result, len(reqs))
 	for i := range reqs {
 		reqs[i] = pairRequest(0.5+0.4*float64(i), int64(400+i))
-		if baseline[i], err = svc.Authenticate(reqs[i]); err != nil {
+		if baseline[i], err = svc.authenticate(reqs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

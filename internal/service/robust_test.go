@@ -57,7 +57,7 @@ func TestServiceRejectsNonFiniteThreshold(t *testing.T) {
 	for _, tau := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		req := pairRequest(0.8, 2)
 		req.ThresholdM = tau
-		if _, err := svc.Authenticate(req); err == nil {
+		if _, err := svc.authenticate(req); err == nil {
 			t.Fatalf("threshold %g accepted", tau)
 		}
 	}
@@ -72,7 +72,7 @@ func TestServiceRejectsUnknownEnvironment(t *testing.T) {
 	for _, env := range []int{-1, 6, 99} {
 		req := pairRequest(0.8, 2)
 		req.Environment = acoustic.Environment(env)
-		if _, err := svc.Authenticate(req); err == nil {
+		if _, err := svc.authenticate(req); err == nil {
 			t.Fatalf("environment %d accepted", env)
 		}
 	}
@@ -95,13 +95,13 @@ func TestServiceOverloadQueueWait(t *testing.T) {
 	entered := blockSession(t, release)
 	hold := make(chan error, 1)
 	go func() {
-		_, err := svc.Authenticate(pairRequest(0.8, 2))
+		_, err := svc.authenticate(pairRequest(0.8, 2))
 		hold <- err
 	}()
 	<-entered
 
 	start := time.Now()
-	_, err = svc.Authenticate(pairRequest(0.8, 3))
+	_, err = svc.authenticate(pairRequest(0.8, 3))
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated service returned %v, want ErrOverloaded", err)
@@ -135,7 +135,7 @@ func TestServiceOverloadQueueDepth(t *testing.T) {
 	entered := blockSession(t, release)
 	hold := make(chan error, 1)
 	go func() {
-		_, err := svc.Authenticate(pairRequest(0.8, 2))
+		_, err := svc.authenticate(pairRequest(0.8, 2))
 		hold <- err
 	}()
 	<-entered
@@ -151,7 +151,7 @@ func TestServiceOverloadQueueDepth(t *testing.T) {
 
 	// The queue is full: the next request sheds with no waiting at all.
 	start := time.Now()
-	if _, err := svc.Authenticate(pairRequest(0.8, 4)); !errors.Is(err, ErrOverloaded) {
+	if _, err := svc.authenticate(pairRequest(0.8, 4)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("full queue returned %v, want ErrOverloaded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -177,7 +177,7 @@ func TestServiceCancelMidScan(t *testing.T) {
 	svc := newService(t, 1)
 	defer svc.Close()
 	req := pairRequest(0.8, 7)
-	clean, err := svc.Authenticate(req)
+	clean, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestServiceCancelMidScan(t *testing.T) {
 	}
 	faultinject.Disable()
 
-	after, err := svc.Authenticate(req)
+	after, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestServicePanicIsolation(t *testing.T) {
 	svc := newService(t, 2)
 	defer svc.Close()
 	req := pairRequest(0.8, 9)
-	clean, err := svc.Authenticate(req)
+	clean, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestServicePanicIsolation(t *testing.T) {
 	for _, site := range []string{faultinject.SiteServiceSession, faultinject.SiteDetectBlock} {
 		faultinject.Enable(1)
 		faultinject.Arm(site, faultinject.Fault{Action: faultinject.ActPanic, Times: 1})
-		_, err := svc.Authenticate(req)
+		_, err := svc.authenticate(req)
 		if !errors.Is(err, ErrInternal) {
 			t.Fatalf("site %s: panic returned %v, want ErrInternal", site, err)
 		}
@@ -246,7 +246,7 @@ func TestServicePanicIsolation(t *testing.T) {
 		}
 		faultinject.Disable()
 
-		after, err := svc.Authenticate(req)
+		after, err := svc.authenticate(req)
 		if err != nil {
 			t.Fatalf("site %s: post-panic session failed: %v", site, err)
 		}
@@ -271,7 +271,7 @@ func TestServiceCloseLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Authenticate(pairRequest(0.8, 71)); err != nil {
+	if _, err := svc.authenticate(pairRequest(0.8, 71)); err != nil {
 		t.Fatal(err)
 	}
 	chunked, err := svc.OpenSession(context.Background(), pairRequest(0.8, 72))
@@ -294,7 +294,7 @@ func TestServiceCloseLeavesNoGoroutines(t *testing.T) {
 
 	faultinject.Enable(1)
 	faultinject.Arm(faultinject.SiteDetectBlock, faultinject.Fault{Action: faultinject.ActPanic, Skip: 2, Times: 1})
-	_, err = svc.Authenticate(pairRequest(0.8, 75))
+	_, err = svc.authenticate(pairRequest(0.8, 75))
 	faultinject.Disable()
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("scan panic returned %v, want ErrInternal", err)
@@ -340,14 +340,14 @@ func TestServiceCloseShedsWaiters(t *testing.T) {
 	entered := blockSession(t, release)
 	hold := make(chan error, 1)
 	go func() {
-		_, err := svc.Authenticate(pairRequest(0.8, 2))
+		_, err := svc.authenticate(pairRequest(0.8, 2))
 		hold <- err
 	}()
 	<-entered
 
 	queued := make(chan error, 1)
 	go func() {
-		_, err := svc.Authenticate(pairRequest(0.8, 3))
+		_, err := svc.authenticate(pairRequest(0.8, 3))
 		queued <- err
 	}()
 	waitWaiters(t, svc, 1)
@@ -375,7 +375,7 @@ func TestServiceCloseShedsWaiters(t *testing.T) {
 		t.Fatalf("in-flight session failed during drain: %v", err)
 	}
 	<-closed
-	if _, err := svc.Authenticate(pairRequest(0.8, 4)); !errors.Is(err, ErrClosed) {
+	if _, err := svc.authenticate(pairRequest(0.8, 4)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close authenticate returned %v, want ErrClosed", err)
 	}
 }
@@ -395,7 +395,7 @@ func TestServiceSeedSweepAcrossGOMAXPROCS(t *testing.T) {
 		defer svc.Close()
 		out := make([]*core.Result, len(seeds))
 		for i, seed := range seeds {
-			res, err := svc.Authenticate(pairRequest(0.4+0.3*float64(i), seed))
+			res, err := svc.authenticate(pairRequest(0.4+0.3*float64(i), seed))
 			if err != nil {
 				t.Fatalf("procs=%d seed=%d: %v", procs, seed, err)
 			}
@@ -436,7 +436,7 @@ func TestShardDeterminism(t *testing.T) {
 	ref := newService(t, 2)
 	want := make([]*core.Result, len(reqs))
 	for i, req := range reqs {
-		res, err := ref.Authenticate(req)
+		res, err := ref.authenticate(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +460,7 @@ func TestShardDeterminism(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i], errs[i] = svc.Authenticate(reqs[i])
+				results[i], errs[i] = svc.authenticate(reqs[i])
 			}(i)
 		}
 		wg.Wait()

@@ -17,7 +17,7 @@ import (
 	"github.com/acoustic-auth/piano/internal/device"
 )
 
-// ErrClosed is returned by Authenticate after Close has begun: both for
+// ErrClosed is returned by AuthenticateContext after Close has begun: both for
 // calls arriving after Close and for callers that were still waiting for a
 // session slot when draining started (they are shed, not admitted).
 var ErrClosed = errors.New("service: closed")
@@ -70,7 +70,7 @@ type Config struct {
 	Workers int
 	// MaxSessions bounds the number of concurrently running sessions
 	// (0 → 4 × Workers; negative values are rejected with ErrConfig).
-	// Excess Authenticate calls wait for a slot, which keeps memory and
+	// Excess AuthenticateContext calls wait for a slot, which keeps memory and
 	// goroutine counts flat under burst load; how long they may wait is
 	// governed by MaxQueueWait/MaxQueueDepth.
 	MaxSessions int
@@ -216,9 +216,6 @@ func New(cfg Config) (*AuthService, error) {
 	return s, nil
 }
 
-// Config returns the service configuration (after defaulting).
-func (s *AuthService) Config() Config { return s.cfg }
-
 // Sessions returns the number of sessions completed successfully so far
 // (requests that failed validation or errored out are not counted).
 func (s *AuthService) Sessions() uint64 {
@@ -351,14 +348,6 @@ func validateRequest(req Request) error {
 	return nil
 }
 
-// Authenticate runs one complete PIANO session and returns the access
-// decision, waiting (subject to the configured queue bounds) while the
-// service is at its concurrent-session limit. It is
-// AuthenticateContext with an uncancellable context.
-func (s *AuthService) Authenticate(req Request) (*core.Result, error) {
-	return s.AuthenticateContext(context.Background(), req)
-}
-
 // AuthenticateContext runs one complete PIANO session under ctx and
 // returns the access decision: a Session born fed (scanned through the
 // shared detector as it opens), resolved before returning and
@@ -457,7 +446,7 @@ func (s *AuthService) buildSession(req Request) (*core.Authenticator, []core.Ext
 // decision, so an abandoned half-fed stream would otherwise stall the
 // drain forever), drains the sessions already admitted, and waits for the
 // lifecycle watchdog to exit, so no service goroutine outlives it.
-// Subsequent Authenticate calls return ErrClosed. Close is idempotent.
+// Subsequent AuthenticateContext calls return ErrClosed. Close is idempotent.
 func (s *AuthService) Close() {
 	s.mu.Lock()
 	if s.closed {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -33,14 +34,14 @@ func TestServiceGrantsAndDenies(t *testing.T) {
 	svc := newService(t, 0)
 	defer svc.Close()
 
-	near, err := svc.Authenticate(pairRequest(0.8, 3))
+	near, err := svc.authenticate(pairRequest(0.8, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !near.Granted || near.Reason != core.ReasonGranted {
 		t.Fatalf("0.8 m under τ=1 m should grant; got %+v", near)
 	}
-	far, err := svc.Authenticate(pairRequest(6, 3))
+	far, err := svc.authenticate(pairRequest(6, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestServiceOverrides(t *testing.T) {
 
 	req := pairRequest(0.8, 5)
 	req.ThresholdM = 0.5
-	dec, err := svc.Authenticate(req)
+	dec, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +70,12 @@ func TestServiceOverrides(t *testing.T) {
 	// The environment override must change the scene (and hence the
 	// measured value) relative to the default-office run of the same seed.
 	req = pairRequest(0.8, 5)
-	office, err := svc.Authenticate(req)
+	office, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Environment = acoustic.EnvStreet
-	street, err := svc.Authenticate(req)
+	street, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestServiceWorkerCountInvariant(t *testing.T) {
 	four := newService(t, 4)
 	defer four.Close()
 	for i, req := range reqs {
-		a, err := one.Authenticate(req)
+		a, err := one.authenticate(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := four.Authenticate(req)
+		b, err := four.authenticate(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +126,7 @@ func TestShardWorkerDistribution(t *testing.T) {
 		{workers: 5, want: 5},
 	} {
 		svc := newService(t, tc.workers)
-		cfg := svc.Config()
+		cfg := svc.cfg
 		if cfg.Workers != tc.want {
 			t.Errorf("Workers %d defaulted to %d, want %d", tc.workers, cfg.Workers, tc.want)
 		}
@@ -150,7 +151,7 @@ func TestServiceConcurrentBitIdentical(t *testing.T) {
 
 	serial := make([]*core.Result, len(reqs))
 	for i, req := range reqs {
-		res, err := svc.Authenticate(req)
+		res, err := svc.authenticate(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func TestServiceConcurrentBitIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i], errs[i] = svc.Authenticate(reqs[i])
+				results[i], errs[i] = svc.authenticate(reqs[i])
 			}(i)
 		}
 		wg.Wait()
@@ -187,12 +188,12 @@ func TestServiceConcurrentBitIdentical(t *testing.T) {
 
 func TestServiceClose(t *testing.T) {
 	svc := newService(t, 1)
-	if _, err := svc.Authenticate(pairRequest(0.8, 2)); err != nil {
+	if _, err := svc.authenticate(pairRequest(0.8, 2)); err != nil {
 		t.Fatal(err)
 	}
 	svc.Close()
 	svc.Close() // idempotent
-	if _, err := svc.Authenticate(pairRequest(0.8, 2)); err != ErrClosed {
+	if _, err := svc.authenticate(pairRequest(0.8, 2)); err != ErrClosed {
 		t.Fatalf("authenticate after close: %v", err)
 	}
 }
@@ -202,7 +203,7 @@ func TestServiceRejectsNegativeThreshold(t *testing.T) {
 	defer svc.Close()
 	req := pairRequest(0.8, 2)
 	req.ThresholdM = -0.5
-	if _, err := svc.Authenticate(req); err == nil {
+	if _, err := svc.authenticate(req); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
 }
@@ -220,4 +221,9 @@ func TestServiceRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Core: cc}); !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "Core.Mode") {
 		t.Fatalf("cross-correlation mode returned %v, want ErrConfig naming Core.Mode", err)
 	}
+}
+
+// authenticate is AuthenticateContext with an uncancellable context.
+func (s *AuthService) authenticate(req Request) (*core.Result, error) {
+	return s.AuthenticateContext(context.Background(), req)
 }

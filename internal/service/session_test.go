@@ -48,7 +48,7 @@ func TestSessionEarlyDecision(t *testing.T) {
 	svc := newService(t, 0)
 	defer svc.Close()
 	req := pairRequest(0.8, 43)
-	want, err := svc.Authenticate(req)
+	want, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSessionFeedOverflowTyped(t *testing.T) {
 	svc := newService(t, 0)
 	defer svc.Close()
 	req := pairRequest(0.8, 47)
-	want, err := svc.Authenticate(req)
+	want, err := svc.authenticate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSessionSlotLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The open (undecided) session occupies the only slot.
-	if _, err := svc.Authenticate(req); !errors.Is(err, ErrOverloaded) {
+	if _, err := svc.authenticate(req); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second session got %v, want ErrOverloaded while the stream holds the slot", err)
 	}
 	sn.Close()
@@ -166,7 +166,7 @@ func TestSessionSlotLifecycle(t *testing.T) {
 		t.Fatalf("closed session Feed returned %v, want context.Canceled", err)
 	}
 	// The slot is free again.
-	if _, err := svc.Authenticate(req); err != nil {
+	if _, err := svc.authenticate(req); err != nil {
 		t.Fatalf("slot not released by Close: %v", err)
 	}
 }
@@ -253,7 +253,7 @@ func TestChaosStreamingFeedStorm(t *testing.T) {
 	}
 	baseline := make([]*core.Result, len(reqs))
 	for i, req := range reqs {
-		if baseline[i], err = svc.Authenticate(req); err != nil {
+		if baseline[i], err = svc.authenticate(req); err != nil {
 			t.Fatal(err)
 		}
 	}

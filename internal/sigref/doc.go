@@ -6,7 +6,8 @@
 // frequencies — the centers of N equal bins spanning [25 kHz, 35 kHz] in
 // the paper's configuration. Each sinusoid has amplitude FullScale/n so the
 // sum never clips the 16-bit PCM range, giving per-frequency reference
-// power R_f = (FullScale/n)² under the dsp.PowerSpectrum normalization.
+// power R_f = (FullScale/n)² under the dsp.FFTPlan.PowerSpectrumInto
+// normalization.
 //
 // Invariants: signals marshal to a compact binary descriptor (the bytes
 // shipped over the secure channel in Step II) and unmarshal to a

@@ -320,23 +320,6 @@ func UnmarshalSignal(data []byte) (*Signal, error) {
 	return sig, nil
 }
 
-// Equal reports whether two signals have identical parameters, frequency
-// sets, and phases.
-func Equal(a, b *Signal) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.params != b.params || len(a.indices) != len(b.indices) {
-		return false
-	}
-	for i := range a.indices {
-		if a.indices[i] != b.indices[i] || a.phases[i] != b.phases[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TimeDomainRandom synthesizes the strawman the paper rejects in §IV-B: a
 // reference signal that is simply an array of uniform random samples at
 // full scale. It exists for the randomization-domain ablation bench.

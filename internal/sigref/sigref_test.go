@@ -133,10 +133,7 @@ func TestSpectralConcentration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := dsp.PowerSpectrum(s.Samples())
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := powerSpectrum(t, s.Samples())
 	chosen := make(map[int]bool)
 	for _, f := range s.Frequencies() {
 		chosen[s.paramsBin(f)] = true
@@ -339,4 +336,36 @@ func TestTimeDomainRandomFullScale(t *testing.T) {
 	if peak := dsp.PeakAbs(x); peak > p.FullScale {
 		t.Fatalf("peak %g", peak)
 	}
+}
+
+// powerSpectrum is the full-length normalized power spectrum of x on the
+// planned transform (dsp.FFTPlan.PowerSpectrumInto).
+func powerSpectrum(t *testing.T, x []float64) []float64 {
+	t.Helper()
+	plan, err := dsp.SharedFFTPlan(len(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := make([]float64, len(x))
+	if err := plan.PowerSpectrumInto(spec, x, plan.NewScratch()); err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// Equal reports whether two signals have identical parameters, frequency
+// sets, and phases: the oracle the round-trip tests compare against.
+func Equal(a, b *Signal) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.params != b.params || len(a.indices) != len(b.indices) {
+		return false
+	}
+	for i := range a.indices {
+		if a.indices[i] != b.indices[i] || a.phases[i] != b.phases[i] {
+			return false
+		}
+	}
+	return true
 }

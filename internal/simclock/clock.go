@@ -34,9 +34,3 @@ func (c *Clock) TrueRate() float64 {
 func (c *Clock) SampleAt(globalSec float64) float64 {
 	return (globalSec - c.OffsetSec) * c.TrueRate()
 }
-
-// TimeOfSample returns the global time at which local sample index s is
-// captured.
-func (c *Clock) TimeOfSample(s float64) float64 {
-	return c.OffsetSec + s/c.TrueRate()
-}

@@ -5,7 +5,7 @@
 // the simulator keeps them distinct precisely so tests can prove that.
 //
 // Key conversions: SampleAt maps global seconds to a device's (fractional)
-// local sample index; TimeOfSample inverts it; TrueRate is the skewed ADC
+// local sample index; TrueRate is the skewed ADC
 // rate the renderer uses while NominalRate is what protocol code believes.
 // SampleAt is affine in time — the property the composite-kernel renderer
 // relies on to fold per-tap delays into one kernel per play.

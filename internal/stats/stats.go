@@ -33,18 +33,6 @@ func Std(x []float64) float64 {
 	return math.Sqrt(sum / float64(len(x)-1))
 }
 
-// MeanAbs returns the mean of |x_i|.
-func MeanAbs(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range x {
-		sum += math.Abs(v)
-	}
-	return sum / float64(len(x))
-}
-
 // Q is the Gaussian tail function Q(x) = P(Z > x) for Z ~ N(0,1).
 func Q(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)

@@ -94,9 +94,6 @@ func New(cfg Config, rng *rand.Rand) (*World, error) {
 	}, nil
 }
 
-// Config returns the scene configuration.
-func (w *World) Config() Config { return w.cfg }
-
 // AddDevice registers a device in the scene. Its microphone records for the
 // scene duration starting at its own clock offset.
 func (w *World) AddDevice(d *device.Device) error {

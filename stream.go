@@ -56,8 +56,7 @@ var (
 // Frame is one wire chunk of a role's PCM on a lossy transport: a sequence
 // number, the chunk's sample offset in the recording, a CRC-32 over header
 // and payload, and the samples themselves. Build with NewFrame (which
-// computes the CRC), serialize with EncodeFrame/Frame.Encode, parse with
-// DecodeFrame.
+// computes the CRC), serialize with Frame.Encode, parse with DecodeFrame.
 type Frame = frame.Frame
 
 // FrameStats counts one role's ingestion traffic, Feed chunks and frames

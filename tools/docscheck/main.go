@@ -1,7 +1,8 @@
-// Command docscheck is the repo's documentation gate (run via `make
-// docs-check` and CI). Using only the standard library (the build image
-// cannot install revive), it enforces the subset of revive's
-// package-comments and exported rules this repo commits to:
+// Command docscheck is the repo's documentation and API-surface gate (run
+// via `make docs-check` and CI). Using only the standard library (the build
+// image cannot install revive), it enforces the subset of revive's
+// package-comments and exported rules this repo commits to, plus a
+// dead-export rule:
 //
 //  1. every Go package in the module has a package comment;
 //  2. every internal/* package and the root piano package keeps that
@@ -10,7 +11,13 @@
 //  3. exported top-level identifiers in library packages (root +
 //     internal/*) have doc comments starting with the identifier's name;
 //  4. the narrative docs README.md and ARCHITECTURE.md exist and are
-//     non-trivial.
+//     non-trivial;
+//  5. every exported identifier of an internal/* package, methods
+//     included, is referenced by some non-test .go file in the repo,
+//     nested modules (perfbench) included — see checkDeadExports for what
+//     counts as a use and keptExports for the test seams kept on purpose.
+//     Exports used only inside their own package are printed as unexport
+//     candidates but do not fail the gate.
 //
 // Exit status is non-zero with one line per violation, so CI output reads
 // like a compiler error list.
@@ -71,6 +78,12 @@ func main() {
 	sort.Strings(dirs)
 	for _, dir := range dirs {
 		checkPackage(dir, pkgDirs[dir], report)
+	}
+
+	notes := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+	if err := checkDeadExports(root, keptExports, report, notes); err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck:", err)
+		os.Exit(2)
 	}
 
 	if len(violations) > 0 {
